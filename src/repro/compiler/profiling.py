@@ -81,23 +81,35 @@ def profile_analytically(
     cfg = program.cfg
     labels = cfg.labels()
     preds = cfg.predecessor_map()
-    counts = {label: 0.0 for label in labels}
     entry = cfg.entry_label
     order = cfg.reverse_postorder()
     for label in labels:
         if label not in order:
             order.append(label)
+    # The sweep works on a list indexed like ``labels``; each block's
+    # (predecessor index, edge probability) rows are looked up once.
+    index = {label: i for i, label in enumerate(labels)}
+    rows = [
+        (
+            index[label],
+            entries if label == entry else 0.0,
+            [(index[pred], cfg.block(pred).edge_probs.get(label, 0.0)) for pred in preds[label]],
+        )
+        for label in order
+    ]
+    values = [0.0] * len(labels)
     for _ in range(max_sweeps):
         delta = 0.0
-        for label in order:
-            total = entries if label == entry else 0.0
-            for pred in preds[label]:
-                prob = cfg.block(pred).edge_probs.get(label, 0.0)
-                total += counts[pred] * prob
-            delta = max(delta, abs(total - counts[label]))
-            counts[label] = total
+        for i, total, incoming in rows:
+            for pred, prob in incoming:
+                total += values[pred] * prob
+            change = abs(total - values[i])
+            if change > delta:  # max(delta, change), without the call
+                delta = change
+            values[i] = total
         if delta < tolerance:
             break
+    counts = dict(zip(labels, values))
     if write_counts:
         for label, count in counts.items():
             cfg.block(label).profile_count = int(round(count * scale))

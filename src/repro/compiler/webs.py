@@ -7,16 +7,22 @@ partitioning (Section 3.5) and register allocation (Section 3.4).  Distinct
 webs of the same source-level value are independent and may land in
 different clusters or registers.
 
-Implementation: reaching-definitions dataflow at (value, defining
-instruction) granularity, then union-find merging every pair of definitions
-that reach a common use.  Values that are live into the program entry
-(e.g. the stack pointer, which is never defined) get a synthetic entry
-definition so they still form a web.
+Implementation: bit-vector reaching definitions over a block worklist, then
+union-find merging every pair of definitions that reach a common use.
+Every def site is one bit, and so is one synthetic entry definition per
+program value (values live into the program entry, such as the stack
+pointer, which is never defined, still form a web).  The bits of one value
+are contiguous.  Each block gets a ``gen`` mask (its last def of each value)
+and a ``kill`` mask (every bit of each value it defines); the worklist
+applies ``out = gen | (in & ~kill)`` and requeues a block's successors only
+when its ``out`` changes.  The walk that merges webs decodes
+``in & mask[value]`` into def uids lazily, at the first use of a value in a
+block.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Iterable
 
 from repro.ir.live_range import LiveRangeSet
@@ -53,77 +59,102 @@ def build_live_ranges(program: ILProgram) -> LiveRangeSet:
     """
     cfg = program.cfg
     labels = cfg.labels()
+    blocks = [cfg.block(label) for label in labels]
 
-    # Per-block: gen = defs reaching block end; kill handled implicitly by
-    # tracking only the *last* def of each value per block plus earlier defs
-    # that reach a use before being killed (those never leave the block).
-    gen: dict[str, dict[ILValue, set[int]]] = {}
-    for label in labels:
-        block = cfg.block(label)
-        last: dict[ILValue, set[int]] = {}
+    # Def sites per value id, entry definition first; bit ``base[vid] + i``
+    # stands for ``sites[vid][i]``.  ``last_defs`` holds each block's last
+    # def of each value it defines, as an offset into ``sites[vid]``.
+    sites: dict[int, list[int]] = {
+        value.vid: [_entry_def(value)] for value in program.values
+    }
+    last_defs: list[dict[int, int]] = []
+    for block in blocks:
+        last: dict[int, int] = {}
         for instr in block.instructions:
             if instr.dest is not None:
-                last[instr.dest] = {instr.uid}
-        gen[label] = last
+                uids = sites.setdefault(instr.dest.vid, [])
+                last[instr.dest.vid] = len(uids)
+                uids.append(instr.uid)
+        last_defs.append(last)
+    base: dict[int, int] = {}
+    next_bit = 0
+    for vid, uids in sites.items():
+        base[vid] = next_bit
+        next_bit += len(uids)
+    entry_bits = 0
+    for value in program.values:
+        entry_bits |= 1 << base[value.vid]
 
-    # Forward dataflow of reaching defs per value.
-    reach_in: dict[str, dict[ILValue, set[int]]] = {
-        label: defaultdict(set) for label in labels
-    }
-    reach_out: dict[str, dict[ILValue, set[int]]] = {
-        label: defaultdict(set) for label in labels
-    }
-    entry = cfg.entry_label
-    if entry is not None:
-        for value in program.values:
-            reach_in[entry][value].add(_entry_def(value))
+    # Per-block gen and the complement of kill (every bit of each value
+    # the block defines).
+    gen: list[int] = []
+    keep: list[int] = []
+    for last in last_defs:
+        block_gen = block_kill = 0
+        for vid, offset in last.items():
+            block_gen |= 1 << (base[vid] + offset)
+            block_kill |= ((1 << len(sites[vid])) - 1) << base[vid]
+        gen.append(block_gen)
+        keep.append(~block_kill)
 
-    preds = cfg.predecessor_map()
-    order = cfg.reverse_postorder()
-    for label in labels:
-        if label not in order:
-            order.append(label)
+    # Forward worklist to the least fixed point, seeded in reverse postorder
+    # with unreachable blocks after.
+    index = {label: i for i, label in enumerate(labels)}
+    preds = [[index[p] for p in plist] for plist in cfg.predecessor_map().values()]
+    succs = [[index[s] for s in block.succ_labels] for block in blocks]
+    entry = index[cfg.entry_label] if cfg.entry_label is not None else -1
+    order = [index[label] for label in cfg.reverse_postorder()]
+    seen = set(order)
+    order += [i for i in range(len(blocks)) if i not in seen]
+    reach_in = [0] * len(blocks)
+    reach_out = [0] * len(blocks)
+    queued = [True] * len(blocks)
+    worklist = deque(order)
+    while worklist:
+        i = worklist.popleft()
+        queued[i] = False
+        rin = entry_bits if i == entry else 0
+        for p in preds[i]:
+            rin |= reach_out[p]
+        reach_in[i] = rin
+        out = gen[i] | (rin & keep[i])
+        if out != reach_out[i]:
+            reach_out[i] = out
+            for s in succs[i]:
+                if not queued[s]:
+                    queued[s] = True
+                    worklist.append(s)
 
-    changed = True
-    while changed:
-        changed = False
-        for label in order:
-            rin = reach_in[label]
-            for pred in preds[label]:
-                for value, defs in reach_out[pred].items():
-                    before = len(rin[value])
-                    rin[value] |= defs
-                    if len(rin[value]) != before:
-                        changed = True
-            rout = reach_out[label]
-            block_gen = gen[label]
-            for value in set(rin) | set(block_gen):
-                new = block_gen.get(value) or rin.get(value, set())
-                if new != rout.get(value, set()):
-                    rout[value] = set(new)
-                    changed = True
+    def reaching(rin: int, value: ILValue) -> list[int]:
+        uids = sites.get(value.vid)
+        if uids is None:
+            return []
+        bits = (rin >> base[value.vid]) & ((1 << len(uids)) - 1)
+        found = []
+        while bits:
+            low = bits & -bits
+            found.append(uids[low.bit_length() - 1])
+            bits ^= low
+        return found
 
     # Walk blocks, merging defs that reach a common use.
     uf = _UnionFind()
     use_attach: dict[tuple[int, ILValue], tuple[int, int]] = {}
     real_defs: set[tuple[int, int]] = set()
-    for label in labels:
-        block = cfg.block(label)
-        current: dict[ILValue, set[int]] = {
-            v: set(defs) for v, defs in reach_in[label].items()
-        }
+    for block, rin in zip(blocks, reach_in):
+        current: dict[ILValue, list[int]] = {}
         for instr in block.instructions:
             for src in instr.srcs:
                 defs = current.get(src)
-                if not defs:
-                    defs = {_entry_def(src)}
+                if defs is None:
+                    defs = reaching(rin, src) or [_entry_def(src)]
                     current[src] = defs
                 keys = [(d, src.vid) for d in defs]
                 for other in keys[1:]:
                     uf.union(keys[0], other)
                 use_attach[(instr.uid, src)] = keys[0]
             if instr.dest is not None:
-                current[instr.dest] = {instr.uid}
+                current[instr.dest] = [instr.uid]
                 real_defs.add((instr.uid, instr.dest.vid))
                 uf.find((instr.uid, instr.dest.vid))  # register in the forest
 

@@ -68,7 +68,7 @@ class GymSettings:
     #: ``dual_none`` simulates the shared native binary; ``dual_local``
     #: reschedules per point with the N-cluster local scheduler.
     part: str = "dual_none"
-    #: Simulation kernel override (``None`` = reference engine).
+    #: Simulation kernel override (``None`` = config default).
     engine: Optional[str] = None
     self_check: bool = False
     cycle_budget: int = 0

@@ -148,7 +148,7 @@ class DesignPoint:
                 f"malformed design-point payload: {error}", payload=repr(payload)
             ) from None
 
-    def to_config(self, engine: str = "reference") -> ProcessorConfig:
+    def to_config(self) -> ProcessorConfig:
         """Expand the genome into a full :class:`ProcessorConfig`.
 
         The shared front end scales with total width by the paper's own
@@ -179,7 +179,6 @@ class DesignPoint:
             fetch_width=front,
             dispatch_width=front,
             retire_width=max(1, total),
-            engine=engine,
         )
 
     def assignment(self) -> RegisterAssignment:

@@ -50,10 +50,11 @@ def _fingerprint(name: str, part: str, engine: str, cache: ArtifactCache) -> str
 class TestFactory:
     def test_engine_knob_selects_the_class(self):
         single = single_cluster_config()
-        assert type(make_processor(single, RegisterAssignment.single_cluster())) is Processor
-        batched = replace(single, engine="batched")
+        reference = replace(single, engine="reference")
+        assert type(make_processor(reference, RegisterAssignment.single_cluster())) is Processor
+        # Batched is the default kernel; reference is the named oracle.
         assert isinstance(
-            make_processor(batched, RegisterAssignment.single_cluster()),
+            make_processor(single, RegisterAssignment.single_cluster()),
             BatchedProcessor,
         )
 

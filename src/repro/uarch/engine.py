@@ -14,12 +14,10 @@ Where the speed comes from (DESIGN.md §14):
 1. **Per-trace columns.**  ``start`` lowers the trace into parallel arrays
    ("struct of arrays"): one column of I-cache line ids and one column of
    per-instruction flag bitmasks (control/conditional/taken/load/store/
-   divide/reassign/homeless).  The columns are built once per trace with
-   numpy bulk operations when numpy is importable and a plain list
-   comprehension otherwise — the dependency stays optional, and the
-   columns are ordinary Python lists either way because element access on
-   a list of small ints is faster than on an ndarray (and numpy scalars
-   must never leak into the stats, which are fingerprinted by exact type).
+   divide/reassign/homeless).  The columns are plain Python lists built
+   once per trace by a list comprehension: element access on a list of
+   small ints is the fast path of the loop, and the stats, fingerprinted
+   by exact type, only ever see Python ints.
 2. **Dispatch recipes.**  Everything the front end derives per dynamic
    instruction in the reference model — the distribution plan, the
    non-forwarded/forwarded source register lists, writes-dest flags, the
@@ -29,14 +27,22 @@ Where the speed comes from (DESIGN.md §14):
 3. **A fused cycle loop.**  ``advance`` inlines the reference model's
    event/tick/retire/issue/dispatch/fetch stages into one loop with the
    hot attribute chains hoisted into locals, eliminating per-cycle and
-   per-uop method-call and attribute-lookup overhead.
+   per-uop method-call and attribute-lookup overhead.  A run of cycles in
+   which dispatch is blocked on a full dispatch queue or register file,
+   nothing can issue, and fetch is quiet changes nothing but the stall
+   counters until the next timed change (an event, the end of a fetch
+   stall, a watchdog bound), so the loop counts the run in bulk and jumps
+   over it.  The reference model steps every such cycle and is the oracle
+   for the bulk counts.
 
 Why bit-identity holds: the engine *shares the reference model's state
 representation* — the same clusters, rename files, transfer buffers,
 caches, predictor, ROB entries, and uops — and performs the same state
-transitions in the same order within every cycle.  Cold paths (replay
-exceptions, dynamic register reassignment, fast-forward, diagnostics,
-checkpointing) simply delegate to the inherited reference implementation.
+transitions in the same order within every cycle.  Replay exceptions
+(hot on small-buffer machines, so written for speed in the reference
+model itself) and the cold paths (dynamic register reassignment,
+fast-forward, diagnostics, checkpointing) run the inherited reference
+implementation.
 The observability hooks (``recorder``, ``metrics_hook``, ``stall_acct``,
 invariant self-checks) and fault injectors are honoured at the same
 points as the reference model.
@@ -46,11 +52,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Optional, Sequence
-
-try:  # numpy accelerates column building only; everything works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 from repro.core.distribution import DistributionPlan, Scenario, plan_for_instruction
 from repro.core.registers import RegisterAssignment
@@ -282,12 +283,7 @@ class BatchedProcessor(Processor):
 
     def _build_columns(self, trace: Sequence[DynamicInstruction]) -> None:
         shift = self.icache.line_shift
-        n = len(trace)
-        if _np is not None and n:
-            pcs = _np.fromiter((dyn.meta.pc for dyn in trace), dtype=_np.int64, count=n)
-            lines = (pcs >> shift).tolist()
-        else:
-            lines = [dyn.meta.pc >> shift for dyn in trace]
+        lines = [dyn.meta.pc >> shift for dyn in trace]
         static: dict[int, int] = {}
         flags = []
         append = flags.append
@@ -957,6 +953,7 @@ class BatchedProcessor(Processor):
             # Inlined _dispatch / _resources_available / _make_entry.
             budget = dispatch_width
             dispatched = False
+            dblock = None  # ClusterStats charged by a queue/regfile block
             if acct is not None:
                 acct.begin_dispatch()
             while budget > 0 and fetch_buffer:
@@ -979,7 +976,9 @@ class BatchedProcessor(Processor):
                 # ---- _resources_available
                 master_cluster = clusters[recipe.master]
                 if master_cluster.queue_free < 1:
-                    master_cluster.stats.queue_full_stalls += 1
+                    dblock = master_cluster.stats
+                    dblock.queue_full_stalls += 1
+                    dblock_queue = True
                     if acct is not None:
                         acct.note_dispatch_block("queue_full")
                     dstall += 1
@@ -989,7 +988,9 @@ class BatchedProcessor(Processor):
                 if recipe.m_writes and not (
                     m_rename.file_int if dest_is_int else m_rename.file_fp
                 ).free:
-                    master_cluster.stats.regfile_full_stalls += 1
+                    dblock = master_cluster.stats
+                    dblock.regfile_full_stalls += 1
+                    dblock_queue = False
                     if acct is not None:
                         acct.note_dispatch_block("regfile_full")
                     dstall += 1
@@ -999,7 +1000,9 @@ class BatchedProcessor(Processor):
                 if is_dual_entry and not multi:
                     slave_cluster = clusters[recipe.slave]
                     if slave_cluster.queue_free < 1:
-                        slave_cluster.stats.queue_full_stalls += 1
+                        dblock = slave_cluster.stats
+                        dblock.queue_full_stalls += 1
+                        dblock_queue = True
                         if acct is not None:
                             acct.note_dispatch_block("queue_full")
                         dstall += 1
@@ -1008,7 +1011,9 @@ class BatchedProcessor(Processor):
                     if recipe.s_writes and not (
                         s_rename.file_int if dest_is_int else s_rename.file_fp
                     ).free:
-                        slave_cluster.stats.regfile_full_stalls += 1
+                        dblock = slave_cluster.stats
+                        dblock.regfile_full_stalls += 1
+                        dblock_queue = False
                         if acct is not None:
                             acct.note_dispatch_block("regfile_full")
                         dstall += 1
@@ -1020,7 +1025,9 @@ class BatchedProcessor(Processor):
                     for si, sc_index in enumerate(recipe.slaves):
                         sc = clusters[sc_index]
                         if sc.queue_free < 1:
-                            sc.stats.queue_full_stalls += 1
+                            dblock = sc.stats
+                            dblock.queue_full_stalls += 1
+                            dblock_queue = True
                             if acct is not None:
                                 acct.note_dispatch_block("queue_full")
                             dstall += 1
@@ -1030,7 +1037,9 @@ class BatchedProcessor(Processor):
                         if recipe.s_writes_by[si] and not (
                             r.file_int if dest_is_int else r.file_fp
                         ).free:
-                            sc.stats.regfile_full_stalls += 1
+                            dblock = sc.stats
+                            dblock.regfile_full_stalls += 1
+                            dblock_queue = False
                             if acct is not None:
                                 acct.note_dispatch_block("regfile_full")
                             dstall += 1
@@ -1346,10 +1355,58 @@ class BatchedProcessor(Processor):
             if processed or retired or issued_any or dispatched or fetched_any:
                 self._last_progress_cycle = cycle
             if not issued_any and not dispatched and not fetched_any and retired == 0:
-                flush()  # fast-forward may raise with a diagnostic dump
-                self.cycle = cycle
-                self._maybe_fast_forward(cycle)
-                cycle = self.cycle
+                # Dispatch-stall run: the head is blocked on a queue or
+                # register-file check and nothing is ready, so no retire,
+                # issue or dispatch can happen before the next event.  Fetch
+                # fetched nothing, so it is quiet too: stalled, its buffer
+                # full, or the trace exhausted (an I-cache miss starts a
+                # stall).  No transfer-buffer release is pending either:
+                # releases are scheduled for the cycle after an issue, and
+                # this cycle's tick took every earlier one.  So until the
+                # next event or the end of a fetch stall every cycle only
+                # repeats this cycle's stall counts, and the head's
+                # front-end delay is past, so _maybe_fast_forward would not
+                # jump.  Count the run in bulk; the watchdog bounds make a
+                # timeout fire at the cycle stepping would reach.  A
+                # homeless head is stepped (its steering pointer advances
+                # on every attempt).  A reassignment point never reaches a
+                # resource check before its switch is done, and is an
+                # ordinary head after it.  A replay this cycle leaves its
+                # victim ready, so the ready test also guards the head read.
+                target = 0
+                if dblock is not None and not obs_active:
+                    for cl in clusters:
+                        if cl.ready:
+                            break
+                    else:
+                        if not fetch_buffer[0][3] & F_HOMELESS:
+                            target = limit + 1
+                            if event_cycles and event_cycles[0] < target:
+                                target = event_cycles[0]
+                            if cycle < self._fetch_stall_until < target:
+                                target = self._fetch_stall_until
+                            if window:
+                                bound = self._last_progress_cycle + window + 1
+                                if bound < target:
+                                    target = bound
+                skipped = target - cycle - 1
+                if skipped > 0:
+                    dstall += skipped
+                    if dblock_queue:
+                        dblock.queue_full_stalls += skipped
+                    else:
+                        dblock.regfile_full_stalls += skipped
+                    if (
+                        self._mispredict_block_seq is not None
+                        or self._fetch_stall_until > cycle
+                    ):
+                        fstall += skipped
+                    cycle = target - 1
+                else:
+                    flush()  # fast-forward may raise with a diagnostic dump
+                    self.cycle = cycle
+                    self._maybe_fast_forward(cycle)
+                    cycle = self.cycle
             if obs_active:
                 flush()
                 if invariants is not None:

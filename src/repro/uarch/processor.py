@@ -46,7 +46,7 @@ from repro.core.distribution import DistributionPlan, Scenario, plan_for_instruc
 from repro.core.registers import RegisterAssignment
 from repro.errors import ConfigError, SimulationError, WatchdogTimeout
 from repro.isa.opcodes import InstrClass, Opcode
-from repro.isa.registers import RegisterClass
+from repro.isa.registers import RegisterClass, reg_from_uid
 from repro.obs.trace import TraceRecorder, iter_events
 from repro.uarch.branch_predictor import McFarlingPredictor
 from repro.uarch.buffers import TransferBuffer
@@ -1058,30 +1058,36 @@ class Processor:
         """
         if not self._rob:
             return
-        threshold = self.config.replay_threshold
-        for cluster in self.clusters:
+        # A uop qualifies once ``cycle - since >= replay_threshold``; the
+        # integer stamp window rejects unblocked uops (since = -1) first.
+        latest = cycle - self.config.replay_threshold
+        clusters = self.clusters
+        ready_state = UopState.READY
+        for cluster in clusters:
             victim: Optional[Uop] = None
+            victim_seq = 0
             for seq, phase, uop in cluster.ready:
                 if (
-                    uop.state is UopState.READY
+                    0 <= uop.blocked_on_buffer_since <= latest
+                    and uop.state is ready_state
                     and not uop.entry.squashed
-                    and uop.blocked_on_buffer_since >= 0
-                    and cycle - uop.blocked_on_buffer_since >= threshold
+                    and (victim is None or seq < victim_seq)
                 ):
-                    if victim is None or seq < victim.seq:
-                        if phase == 0 and uop.needs_operand_entry:
-                            buffer = self.clusters[uop.partner.cluster].operand_buffer
-                        elif uop.needs_result_entry:
-                            buffer = self.clusters[uop.partner.cluster].result_buffer
-                            for index in uop.entry.plan.result_receivers:
-                                candidate = self.clusters[index].result_buffer
-                                if candidate.is_full:
-                                    buffer = candidate
-                                    break
-                        else:
-                            continue
-                        if any(owner > seq for owner in buffer.entries):
-                            victim = uop
+                    if phase == 0 and uop.needs_operand_entry:
+                        buffer = clusters[uop.partner.cluster].operand_buffer
+                    elif uop.needs_result_entry:
+                        buffer = clusters[uop.partner.cluster].result_buffer
+                        for index in uop.entry.plan.result_receivers:
+                            candidate = clusters[index].result_buffer
+                            if candidate.is_full:
+                                buffer = candidate
+                                break
+                    else:
+                        continue
+                    entries = buffer.entries
+                    if entries and max(entries) > seq:
+                        victim = uop
+                        victim_seq = seq
             if victim is not None:
                 self._replay(victim.entry, cycle)
                 return
@@ -1096,34 +1102,33 @@ class Processor:
             squashed.append(self._rob.pop())
         self.stats.replay_squashed_instructions += len(squashed)
 
+        clusters = self.clusters
+        pending_stores = self._pending_stores
+        store_waiters = self._store_waiters
         for entry in squashed:
             entry.squashed = True
             # Undo renames in reverse allocation order.
             for cluster_index, rclass, arch_uid, phys, prev in reversed(entry.rename_undo):
-                from repro.isa.registers import reg_from_uid
-
-                rfile = self.clusters[cluster_index].rename.files[rclass]
+                rename = clusters[cluster_index].rename
+                rfile = rename.file_int if rclass is RegisterClass.INT else rename.file_fp
                 rfile.undo(reg_from_uid(arch_uid), phys, prev)
+            address = entry.dyn.address
             for uop in entry.uops:
-                if uop.state in (UopState.WAITING, UopState.READY):
-                    self.clusters[uop.cluster].queue_free += 1
-                dyn = entry.dyn
-                if uop.opcode.is_store and dyn.address is not None:
-                    if self._pending_stores.get(dyn.address) is uop:
-                        del self._pending_stores[dyn.address]
-                self._store_waiters.pop(uop.seq, None)
+                if uop.state is UopState.WAITING or uop.state is UopState.READY:
+                    clusters[uop.cluster].queue_free += 1
+                if uop.iclass is InstrClass.STORE and address is not None:
+                    if pending_stores.get(address) is uop:
+                        del pending_stores[address]
+            store_waiters.pop(entry.seq, None)
             if entry.branch_tag >= 0:
                 self.predictor.abandon(entry.branch_tag)
 
         for cluster in self.clusters:
             cluster.operand_buffer.squash_younger(boundary)
             cluster.result_buffer.squash_younger(boundary)
-            cluster.ready = [
-                (seq, phase, uop)
-                for seq, phase, uop in cluster.ready
-                if seq <= boundary
-            ]
-            heapq.heapify(cluster.ready)
+            ready = [item for item in cluster.ready if item[0] <= boundary]
+            heapq.heapify(ready)
+            cluster.ready = ready
 
         # Rewind fetch to the instruction right after the survivor; the
         # trace index equals the sequence number by construction.  Pending
@@ -1137,21 +1142,19 @@ class Processor:
         self._fetch_index = boundary + 1
         # Surviving loads waiting on a squashed store would hang (the store
         # vanished from the pending map and its waiter list was dropped):
-        # clear the dependence.
-        for entry in list(self._rob):
+        # clear the dependence.  Restart the blocked-cycle counters too, so
+        # the next replay decision is based on post-squash behaviour.
+        for entry in self._rob:
             for uop in entry.uops:
+                uop.blocked_on_buffer_since = -1
+                dep = uop.store_dep
                 if (
-                    uop.store_dep is not None
-                    and uop.store_dep.entry.squashed
+                    dep is not None
+                    and dep.entry.squashed
                     and uop.state is UopState.WAITING
                 ):
                     uop.store_dep = None
                     self._wake(uop)
-        # Restart the blocked-cycle counters so the next replay decision is
-        # based on post-squash behaviour.
-        for entry in self._rob:
-            for uop in entry.uops:
-                uop.blocked_on_buffer_since = -1
         if self._mispredict_block_seq is not None and self._mispredict_block_seq > boundary:
             self._mispredict_block_seq = None
         self._fetch_stall_until = max(

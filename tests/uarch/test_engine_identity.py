@@ -7,28 +7,40 @@ reference model exactly, on every Table 2 benchmark, on both machines,
 through checkpoints, and under fault injection.
 """
 
+import copy
 import pickle
 from dataclasses import replace
 
 import pytest
 
+from repro.compiler.pipeline import compile_program
 from repro.core.registers import RegisterAssignment
 from repro.errors import ConfigError, WatchdogTimeout
 from repro.experiments.harness import PARTS, EvaluationOptions, evaluate_workload_part
+from repro.isa.instructions import MachineInstruction
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import int_reg
 from repro.perf.cache import ArtifactCache
 from repro.perf.fingerprint import fingerprint
 from repro.robustness.faultinject import DuplicateTransferEntry, StuckFunctionalUnit
 from repro.uarch.config import dual_cluster_config, single_cluster_config
 from repro.uarch.engine import ENGINES, BatchedProcessor, make_processor
 from repro.uarch.processor import Processor
+from repro.workloads.kernels import KERNELS
 from repro.workloads.spec92 import SPEC92
+from repro.workloads.tracegen import TraceGenerator
 
 from tests.robustness.test_checkpoint import make_trace
+from tests.uarch.helpers import trace_from_instructions
 
 #: Short traces keep the 6 benchmarks x 2 machines x 2 engines sweep
 #: CI-friendly; the compile/trace artifacts are shared via a
 #: module-scoped cache, so each benchmark compiles once.
 TRACE_LENGTH = 1_500
+
+#: The kernels run longer: listwalk and strhash are where the batched
+#: engine bulk-counts long dispatch-stall runs.
+KERNEL_TRACE_LENGTH = 2_000
 
 #: machine name -> the harness part that simulates it.
 MACHINES = {"single-8way": "single", "dual-4way": "dual_none"}
@@ -39,12 +51,53 @@ def artifact_cache():
     return ArtifactCache()
 
 
-def _fingerprint(name: str, part: str, engine: str, cache: ArtifactCache) -> str:
+def _fingerprint(
+    name: str,
+    part: str,
+    engine: str,
+    cache: ArtifactCache,
+    suite=SPEC92,
+    trace_length: int = TRACE_LENGTH,
+) -> str:
     options = EvaluationOptions(
-        trace_length=TRACE_LENGTH, cache=cache, engine=engine
+        trace_length=trace_length, cache=cache, engine=engine
     )
-    outcome = evaluate_workload_part(SPEC92[name](), part, options, cache)
+    outcome = evaluate_workload_part(suite[name](), part, options, cache)
     return fingerprint(outcome.sim.stats.as_dict())
+
+
+@pytest.fixture(scope="module")
+def listwalk_trace():
+    """A native listwalk trace: pointer-chasing loads keep the dispatch
+    queues full for whole memory latencies (long dispatch-stall runs)."""
+    workload = KERNELS["listwalk"]()
+    native = compile_program(workload.program, RegisterAssignment.single_cluster())
+    return TraceGenerator(
+        native.machine, workload.streams, workload.behaviors, seed=7
+    ).generate(KERNEL_TRACE_LENGTH)
+
+
+def _processor(engine: str, machine: str = "dual", **overrides) -> Processor:
+    if machine == "dual":
+        config, assignment = dual_cluster_config(), RegisterAssignment.even_odd_dual()
+    else:
+        config, assignment = single_cluster_config(), RegisterAssignment.single_cluster()
+    return make_processor(replace(config, engine=engine, **overrides), assignment)
+
+
+def _step_to_timeout(processor: Processor, trace):
+    """Advance one loop step at a time until the watchdog fires.
+
+    Returns the timeout and the cycle the raising step started from.
+    """
+    processor.start(trace)
+    while True:
+        before = processor.cycle
+        try:
+            finished = processor.advance(max_steps=1)
+        except WatchdogTimeout as timeout:
+            return timeout, before
+        assert not finished, "the watchdog never fired"
 
 
 class TestFactory:
@@ -91,6 +144,91 @@ class TestFingerprintIdentity:
     def test_parts_cover_both_machines(self):
         assert set(MACHINES.values()) < set(PARTS)
 
+    @pytest.mark.parametrize("part", PARTS)
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_kernel_fingerprints_match(self, name, part, artifact_cache):
+        reference, batched = (
+            _fingerprint(
+                name, part, engine, artifact_cache,
+                suite=KERNELS, trace_length=KERNEL_TRACE_LENGTH,
+            )
+            for engine in ("reference", "batched")
+        )
+        assert batched == reference, (
+            f"kernel {name} ({part}): batched engine diverged from the "
+            f"reference model"
+        )
+
+
+class TestStallRunSkip:
+    def test_batched_engine_jumps_over_dispatch_stall_runs(self, listwalk_trace):
+        # The reference steps every stalled cycle; the batched engine
+        # counts a dispatch-stall run in one loop step.  Same statistics,
+        # fewer steps.
+        steps = {}
+        results = {}
+        for engine in ENGINES:
+            processor = _processor(engine)
+            processor.start(listwalk_trace)
+            taken = 1
+            while not processor.advance(max_steps=1):
+                taken += 1
+            steps[engine] = taken
+            stats = processor.finalize().stats
+            assert stats.dispatch_stall_cycles > 0
+            results[engine] = fingerprint(stats.as_dict())
+        assert results["batched"] == results["reference"]
+        assert steps["batched"] < steps["reference"]
+
+    def test_reassignment_points_in_a_stall_heavy_trace(self, listwalk_trace):
+        # A reassignment point drains the machine before it reaches the
+        # resource checks; stall runs before and after the switches must
+        # still be counted exactly.
+        trace = list(listwalk_trace)
+        for index, assignment in (
+            (700, RegisterAssignment.low_high_dual()),
+            (1400, RegisterAssignment.even_odd_dual()),
+        ):
+            trace[index] = copy.copy(trace[index])
+            trace[index].reassign = assignment
+        results = {}
+        for engine in ENGINES:
+            stats = _processor(engine).run(trace).stats
+            assert stats.reassignments == 2
+            results[engine] = fingerprint(stats.as_dict())
+        assert results["batched"] == results["reference"]
+
+    def test_homeless_head_is_stepped(self):
+        # Two dependent load misses per cluster keep four-entry dispatch
+        # queues full of stores while unconditional branches (no registers,
+        # so steered by the alternating homeless pointer) reach the
+        # dispatch head.  Each blocked attempt advances the pointer and
+        # charges the other cluster's queue, so such a run must be stepped.
+        instrs = [
+            MachineInstruction(Opcode.LDQ, dest=int_reg(2), srcs=(int_reg(0),)),
+            MachineInstruction(Opcode.LDQ, dest=int_reg(3), srcs=(int_reg(1),)),
+            MachineInstruction(Opcode.LDQ, dest=int_reg(4), srcs=(int_reg(2),)),
+            MachineInstruction(Opcode.LDQ, dest=int_reg(5), srcs=(int_reg(3),)),
+        ]
+        for _ in range(4):
+            instrs.append(MachineInstruction(Opcode.STQ, srcs=(int_reg(4), int_reg(0))))
+            instrs.append(MachineInstruction(Opcode.STQ, srcs=(int_reg(5), int_reg(1))))
+        instrs.extend(MachineInstruction(Opcode.BR, target="b0") for _ in range(6))
+        addresses = {0: 0x10000, 1: 0x20000, 2: 0x30000, 3: 0x40000}
+        dual = dual_cluster_config()
+        small = replace(dual.clusters[0], dispatch_queue_entries=4)
+        results = {}
+        for engine in ENGINES:
+            config = replace(dual, clusters=(small, small), engine=engine)
+            processor = make_processor(config, RegisterAssignment.even_odd_dual())
+            stats = processor.run(
+                trace_from_instructions(instrs, addresses=addresses)
+            ).stats
+            # Both clusters' queues block the homeless head in turn.
+            assert all(c.queue_full_stalls > 0 for c in stats.clusters)
+            results[engine] = fingerprint(stats.as_dict())
+        assert results["batched"] == results["reference"]
+
 
 class TestWatchdogParity:
     def test_cycle_budget_raises_on_batched_engine(self):
@@ -100,6 +238,38 @@ class TestWatchdogParity:
             processor.run(make_trace(), max_cycles=3)
         assert "budget" in info.value.message
         assert info.value.diagnostics
+
+    @pytest.mark.parametrize(
+        "machine, overrides",
+        [
+            # listwalk on the dual machine stalls dispatch from cycle 37
+            # to the load completion at 53; the budget runs out at 46.
+            ("dual", {"cycle_budget": 45}),
+            # On the single machine a 16-cycle window expires at cycle 72,
+            # one cycle before the stall run's closing event at 73.
+            ("single", {"progress_window": 16}),
+        ],
+        ids=["cycle-budget", "progress-window"],
+    )
+    def test_timeout_inside_a_stall_run_matches_reference(
+        self, machine, overrides, listwalk_trace
+    ):
+        outcomes = {}
+        for engine in ENGINES:
+            processor = _processor(engine, machine, **overrides)
+            timeout, before = _step_to_timeout(processor, listwalk_trace)
+            outcomes[engine] = (
+                timeout.cycle,
+                timeout.seq,
+                fingerprint(processor.finalize().stats.as_dict()),
+                timeout.diagnostics,
+            )
+            if engine == "reference":
+                assert before == timeout.cycle - 1  # steps every cycle
+            else:
+                # The timeout fired at the end of a bulk-counted run.
+                assert before < timeout.cycle - 1
+        assert outcomes["batched"] == outcomes["reference"]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_tight_progress_window_still_completes(self, engine):
@@ -114,16 +284,19 @@ class TestWatchdogParity:
 
 
 class TestCheckpointParity:
-    def test_stepwise_advance_matches_straight_run(self):
+    def test_stepwise_advance_matches_straight_run(self, listwalk_trace):
+        # The listwalk trace makes bulk-counted stall runs end on (and
+        # straddle) the max_steps boundaries.
         config = replace(dual_cluster_config(), engine="batched")
-        straight = make_processor(config, RegisterAssignment.even_odd_dual())
-        expected = fingerprint(straight.run(make_trace()).stats.as_dict())
+        for trace in (make_trace(), listwalk_trace):
+            straight = make_processor(config, RegisterAssignment.even_odd_dual())
+            expected = fingerprint(straight.run(trace).stats.as_dict())
 
-        stepper = make_processor(config, RegisterAssignment.even_odd_dual())
-        stepper.start(make_trace())
-        while not stepper.advance(max_steps=37):
-            pass
-        assert fingerprint(stepper.finalize().stats.as_dict()) == expected
+            stepper = make_processor(config, RegisterAssignment.even_odd_dual())
+            stepper.start(trace)
+            while not stepper.advance(max_steps=37):
+                pass
+            assert fingerprint(stepper.finalize().stats.as_dict()) == expected
 
     def test_pickle_round_trip_resumes_bit_identically(self):
         config = replace(dual_cluster_config(), engine="batched")
@@ -217,25 +390,39 @@ ASYMMETRIC_3CLUSTER = DesignPoint(
 
 GYM_POINTS = _gym_points() + [ASYMMETRIC_3CLUSTER]
 
+#: Two paper clusters with one-entry transfer buffers: ora then takes
+#: dozens of replay exceptions per thousand instructions.
+REPLAY_HEAVY = DesignPoint(clusters=(ClusterSpec(), ClusterSpec()), buffer_entries=1)
+
+
+def _gym_outcome(point: DesignPoint, benchmark: str, engine: str, cache):
+    options = EvaluationOptions(
+        trace_length=800,
+        dual_config=point.to_config(),
+        dual_assignment=point.assignment(),
+        engine=engine,
+    )
+    return evaluate_workload_part(SPEC92[benchmark](), "dual_none", options, cache)
+
 
 class TestNClusterIdentity:
     @pytest.mark.parametrize("point", GYM_POINTS, ids=lambda p: p.slug)
     def test_batched_matches_reference(self, point, artifact_cache):
-        options = EvaluationOptions(
-            trace_length=800,
-            dual_config=point.to_config(),
-            dual_assignment=point.assignment(),
-        )
         results = {}
         for engine in ENGINES:
-            outcome = evaluate_workload_part(
-                SPEC92["compress"](),
-                "dual_none",
-                replace(options, engine=engine),
-                artifact_cache,
-            )
+            outcome = _gym_outcome(point, "compress", engine, artifact_cache)
             results[engine] = (
                 outcome.sim.cycles,
                 fingerprint(outcome.sim.stats.as_dict()),
             )
+        assert results["batched"] == results["reference"]
+
+    def test_replay_heavy_point_matches_reference(self, artifact_cache):
+        results = {}
+        for engine in ENGINES:
+            outcome = _gym_outcome(REPLAY_HEAVY, "ora", engine, artifact_cache)
+            stats = outcome.sim.stats
+            # The replay path must actually run, not merely exist.
+            assert stats.replay_exceptions > 0
+            results[engine] = (outcome.sim.cycles, fingerprint(stats.as_dict()))
         assert results["batched"] == results["reference"]

@@ -4,7 +4,7 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
 
     python -m repro table2 [--trace-length N] [--benchmarks a b ...] [--jobs N]
                            [--retries N] [--resume DIR] [--shard NAME]
-                           [--executor pool|supervised|distributed]
+                           [--executor supervised|distributed]
                            [--task-timeout S] [--redispatch-budget N]
                            [--dist-port P] [--dist-min-hosts N] [--dist-wait S]
                            [--spans] [--spans-dir DIR]
@@ -133,7 +133,7 @@ def _evaluation_options(args: argparse.Namespace):
         jobs=getattr(args, "jobs", 1),
         cache=_make_cache(args),
         retry=_make_retry(args),
-        executor=getattr(args, "executor", "pool"),
+        executor=getattr(args, "executor", "supervised"),
         task_timeout=getattr(args, "task_timeout", None),
         redispatch_budget=getattr(args, "redispatch_budget", 2),
         engine=getattr(args, "engine", None),
@@ -449,13 +449,13 @@ def _add_perf_flags(
     )
     parser.add_argument(
         "--executor",
-        choices=["pool", "supervised", "distributed"],
-        default="pool",
-        help="sweep fan-out engine: 'pool' trusts its workers; "
-        "'supervised' adds per-task deadlines, dead/wedged-worker "
-        "detection, and bounded re-dispatch; 'distributed' coordinates "
-        "'repro worker serve' daemons over TCP with host-loss tolerance "
-        "(all bit-identical to serial)",
+        choices=["supervised", "distributed"],
+        default="supervised",
+        help="sweep fan-out engine for --jobs != 1: 'supervised' runs "
+        "local worker processes with per-task deadlines, dead/wedged-"
+        "worker detection, and bounded re-dispatch; 'distributed' "
+        "coordinates 'repro worker serve' daemons over TCP with "
+        "host-loss tolerance (both bit-identical to serial)",
     )
     parser.add_argument(
         "--dist-bind",

@@ -72,6 +72,14 @@ def _point_from(label: str, ev: BenchmarkEvaluation) -> AblationPoint:
     )
 
 
+def _evaluate_point(item, cache) -> BenchmarkEvaluation:
+    """One ablation point's three runs (worker-safe)."""
+    from repro.experiments.harness import evaluate_workload_retrying
+
+    workload, options = item
+    return evaluate_workload_retrying(workload, options, cache=cache)
+
+
 def _points(
     tasks: list[tuple[str, Workload, EvaluationOptions]],
     jobs: int,
@@ -88,41 +96,23 @@ def _points(
     options fingerprint (ablation points deliberately differ in options,
     so a changed sweep parameter invalidates exactly the changed rows).
     """
-    from repro.perf.parallel import evaluate_many
+    from repro.perf.parallel import run_sweep
+    from repro.robustness.journal import options_fingerprint
 
-    fingerprints: list[str] = []
-    evaluations: list[Optional[BenchmarkEvaluation]] = [None] * len(tasks)
-    pending = list(range(len(tasks)))
-    if journal is not None:
-        from repro.robustness.journal import options_fingerprint
-
-        fingerprints = [options_fingerprint(options) for _, _, options in tasks]
-        pending = []
-        for i, (label, _, _) in enumerate(tasks):
-            reused = journal.load_artifact(
-                journal.completed(f"{sweep}:{label}", fingerprints[i])
-            )
-            if isinstance(reused, BenchmarkEvaluation):
-                evaluations[i] = reused
-            else:
-                pending.append(i)
-
-    def on_result(j: int, ev: BenchmarkEvaluation) -> None:
-        i = pending[j]
-        evaluations[i] = ev
-        if journal is not None:
-            journal.record_completed(
-                f"{sweep}:{tasks[i][0]}", fingerprints[i], artifact_value=ev
-            )
-
-    if pending:
-        evaluate_many(
-            [(tasks[i][1], tasks[i][2]) for i in pending],
-            jobs=jobs,
-            on_result=on_result,
-        )
+    evaluations = run_sweep(
+        _evaluate_point,
+        [(workload, options) for _, workload, options in tasks],
+        jobs,
+        keys=[
+            (f"{sweep}:{label}", options_fingerprint(options))
+            for label, _, options in tasks
+        ],
+        journal=journal,
+        # One point is a single-cluster and two dual-cluster runs.
+        trace_length=3 * max(options.trace_length for _, _, options in tasks),
+    )
     return [
-        _point_from(label, evaluations[i]) for i, (label, _, _) in enumerate(tasks)
+        _point_from(label, ev) for (label, _, _), ev in zip(tasks, evaluations)
     ]
 
 
@@ -241,7 +231,7 @@ def run_partitioner_ablation(
     )
 
 
-def _queue_size_task(item) -> "QueueSizePoint":
+def _queue_size_task(item, cache) -> "QueueSizePoint":
     """One single-cluster run at one dispatch-queue size (worker-safe)."""
     import dataclasses
 
@@ -279,7 +269,8 @@ def run_queue_size_ablation(
     queue size, exposing how much queue depth costs or buys on a workload.
     """
     from repro.compiler.pipeline import compile_program
-    from repro.perf.parallel import parallel_map
+    from repro.perf.fingerprint import fingerprint
+    from repro.perf.parallel import run_sweep
     from repro.workloads.tracegen import TraceGenerator
 
     workload = build()
@@ -287,37 +278,21 @@ def run_queue_size_ablation(
     trace = TraceGenerator(
         native.machine, workload.streams, workload.behaviors, seed=7
     ).generate(trace_length)
-
-    points: dict[int, QueueSizePoint] = {}
-    pending = list(queue_sizes)
-    fingerprints: dict[int, str] = {}
-    if journal is not None:
-        from repro.perf.fingerprint import fingerprint
-
-        fingerprints = {
-            n: fingerprint(("queue-size/v1", workload.name, trace_length, n))
+    points = run_sweep(
+        _queue_size_task,
+        [(entries, trace) for entries in queue_sizes],
+        jobs,
+        keys=[
+            (
+                f"queue-size:entries={n}",
+                fingerprint(("queue-size/v1", workload.name, trace_length, n)),
+            )
             for n in queue_sizes
-        }
-        pending = []
-        for n in queue_sizes:
-            reused = journal.load_artifact(
-                journal.completed(f"queue-size:entries={n}", fingerprints[n])
-            )
-            if isinstance(reused, QueueSizePoint):
-                points[n] = reused
-            else:
-                pending.append(n)
-
-    rows = parallel_map(
-        _queue_size_task, [(entries, trace) for entries in pending], jobs=jobs
+        ],
+        journal=journal,
+        trace_length=trace_length,
     )
-    for n, row in zip(pending, rows):
-        points[n] = row
-        if journal is not None:
-            journal.record_completed(
-                f"queue-size:entries={n}", fingerprints[n], artifact_value=row
-            )
-    return QueueSizeResult(workload.name, [points[n] for n in queue_sizes])
+    return QueueSizeResult(workload.name, points)
 
 
 @dataclass

@@ -106,6 +106,11 @@ def run_figure6(imbalance_threshold: int = 2) -> Figure6Result:
     )
 
 
+def _figure6_task(threshold: int, cache) -> Figure6Result:
+    """One sweep point (worker-safe; the walk-through needs no cache)."""
+    return run_figure6(threshold)
+
+
 def run_figure6_sweep(
     thresholds: tuple[int, ...] = (0, 1, 2, 4, 8),
     jobs: int = 1,
@@ -120,35 +125,20 @@ def run_figure6_sweep(
     resumable: journaled thresholds are reused verbatim and only missing
     points are recomputed.
     """
-    from repro.perf.parallel import parallel_map
+    from repro.perf.fingerprint import fingerprint
+    from repro.perf.parallel import run_sweep
 
-    results: dict[int, Figure6Result] = {}
-    pending = list(thresholds)
-    fingerprints: dict[int, str] = {}
-    if journal is not None:
-        from repro.perf.fingerprint import fingerprint
-
-        fingerprints = {
-            t: fingerprint(("figure6/v1", t)) for t in thresholds
-        }
-        pending = []
-        for t in thresholds:
-            reused = journal.load_artifact(
-                journal.completed(f"figure6:threshold={t}", fingerprints[t])
-            )
-            if isinstance(reused, Figure6Result):
-                results[t] = reused
-            else:
-                pending.append(t)
-
-    computed = parallel_map(run_figure6, pending, jobs=jobs)
-    for t, result in zip(pending, computed):
-        results[t] = result
-        if journal is not None:
-            journal.record_completed(
-                f"figure6:threshold={t}", fingerprints[t], artifact_value=result
-            )
-    return [(t, results[t]) for t in thresholds]
+    results = run_sweep(
+        _figure6_task,
+        thresholds,
+        jobs,
+        keys=[
+            (f"figure6:threshold={t}", fingerprint(("figure6/v1", t)))
+            for t in thresholds
+        ],
+        journal=journal,
+    )
+    return list(zip(thresholds, results))
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

@@ -182,13 +182,15 @@ class EvaluationOptions:
     #: every row (deterministic; tests).  Excluded from
     #: ``options_fingerprint`` — heartbeats never change row values.
     heartbeat_interval: Optional[float] = 5.0
-    #: Sweep executor (``repro.perf.executor``): ``"pool"`` is the
-    #: trusting process pool; ``"supervised"`` adds per-task deadlines,
-    #: dead/wedged-worker detection, and bounded re-dispatch.  All of
-    #: these executor knobs are excluded from ``options_fingerprint``:
-    #: the executor decides *how* rows are computed, never their values
-    #: (re-dispatch and the degraded serial path are bit-identical).
-    executor: str = "pool"
+    #: Sweep executor (``repro.perf.executor``) for ``jobs != 1``:
+    #: ``"supervised"`` is the local process pool with per-task
+    #: deadlines, dead/wedged-worker detection, and bounded re-dispatch;
+    #: ``"distributed"`` coordinates ``repro worker serve`` daemons over
+    #: TCP.  All of these executor knobs are excluded from
+    #: ``options_fingerprint``: the executor decides *how* rows are
+    #: computed, never their values (re-dispatch and the degraded serial
+    #: path are bit-identical).
+    executor: str = "supervised"
     #: Per-task deadline in seconds for the supervised executor;
     #: ``None`` derives one from ``trace_length``.
     task_timeout: Optional[float] = None

@@ -123,7 +123,7 @@ class ReassignmentResult:
         return self.dynamic < min(self.static_even_odd, self.static_low_high)
 
 
-def _reassignment_task(item):
+def _reassignment_task(item, cache):
     """One of the three machine runs, worker-safe (rebuilds its trace)."""
     phase_length, which = item
     config = dual_cluster_config()
@@ -150,44 +150,25 @@ def run_reassignment_demo(
     (:class:`~repro.robustness.journal.RunJournal`) journals each
     machine's simulation result, so an interrupted demo resumes with only
     the missing machines recomputed."""
-    from repro.perf.parallel import parallel_map
+    from repro.perf.fingerprint import fingerprint
+    from repro.perf.parallel import run_sweep
 
     machines = ["even_odd", "low_high", "dynamic"]
-    sims: dict[str, object] = {}
-    pending = list(machines)
-    fingerprints: dict[str, str] = {}
-    if journal is not None:
-        from repro.perf.fingerprint import fingerprint
-
-        fingerprints = {
-            which: fingerprint(("reassignment/v1", phase_length, which))
-            for which in machines
-        }
-        pending = []
-        for which in machines:
-            reused = journal.load_artifact(
-                journal.completed(f"reassignment:{which}", fingerprints[which])
-            )
-            if reused is not None:
-                sims[which] = reused
-            else:
-                pending.append(which)
-
-    computed = parallel_map(
+    sims = run_sweep(
         _reassignment_task,
-        [(phase_length, which) for which in pending],
-        jobs=jobs,
-    )
-    for which, sim in zip(pending, computed):
-        sims[which] = sim
-        if journal is not None:
-            journal.record_completed(
-                f"reassignment:{which}", fingerprints[which], artifact_value=sim
+        [(phase_length, which) for which in machines],
+        jobs,
+        keys=[
+            (
+                f"reassignment:{which}",
+                fingerprint(("reassignment/v1", phase_length, which)),
             )
-    even_odd, low_high, dynamic = (
-        sims["even_odd"], sims["low_high"], sims["dynamic"],
+            for which in machines
+        ],
+        journal=journal,
+        trace_length=2 * phase_length,
     )
-
+    even_odd, low_high, dynamic = sims
     return ReassignmentResult(
         static_even_odd=even_odd.cycles,
         static_low_high=low_high.cycles,

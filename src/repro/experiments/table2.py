@@ -207,8 +207,7 @@ def run_table2(
     # Bundles and journal records describe the self-contained serial
     # run shape, whichever path computed the row.
     sealed_options = replace(
-        options, jobs=1, cache=None, executor="pool", worker_fault_plan=None,
-        spans=None,
+        options, jobs=1, cache=None, worker_fault_plan=None, spans=None
     )
 
     # Parallel sweeps report progress (rows done, ETA, cache hit rate,
@@ -247,23 +246,10 @@ def run_table2(
         if heartbeat is not None:
             heartbeat.note(name)
 
-    def on_event(kind: str, payload: dict) -> None:
-        # Executor incidents (today: a circuit-breaker degradation) are
-        # not rows, but they belong in the durable record of the run.
-        import logging
-
-        logging.getLogger("repro.table2").warning(
-            "sweep executor event %s: %s", kind, payload
-        )
-        if journal is not None:
-            journal.record_event(kind, payload)
-
     if options.jobs != 1 and len(pending) > 0:
         from repro.perf.parallel import run_table2_parallel
 
-        run_table2_parallel(
-            pending, options, on_benchmark=record, on_event=on_event
-        )
+        run_table2_parallel(pending, options, on_benchmark=record, journal=journal)
     else:
         for name in pending:
             row_start = time.perf_counter()

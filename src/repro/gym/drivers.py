@@ -17,10 +17,12 @@ trajectory and frontier files.  Every trial is journaled
 ``(point slug, rung trace length)`` and fingerprinted over the point and
 every value-determining setting — a search killed mid-run and resumed
 with ``--resume`` replays completed trials from the journal and lands on
-the *same bytes* as an uninterrupted run.  Fan-out rides
-:func:`repro.perf.parallel.parallel_map`; workers return the same
-JSON-native payloads the journal stores, so the parallel path cannot
-drift from the serial one.
+the *same bytes* as an uninterrupted run.  Each batch runs through
+:func:`repro.perf.parallel.run_sweep`, which journals every trial the
+moment it finishes (an interrupted ``--jobs`` batch keeps its finished
+trials) and fans out to the supervised executor for ``jobs != 1``;
+every path returns the same JSON-native payloads the journal stores, so
+the parallel path cannot drift from the serial one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.gym.fitness import (
     Baseline,
     GymSettings,
     TrialResult,
-    _trial_task,
     compute_baseline,
     evaluate_point,
     trial_fingerprint,
@@ -45,7 +46,7 @@ from repro.gym.pareto import pareto_frontier
 from repro.gym.space import DesignPoint, DesignSpace
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import ArtifactCache
-from repro.perf.parallel import parallel_map
+from repro.perf.parallel import run_sweep
 from repro.robustness.journal import RunJournal
 
 DRIVERS = ("random", "grid", "evolutionary", "halving")
@@ -128,6 +129,16 @@ class SearchResult:
         )
 
 
+def _evaluate_trial(item: tuple, cache: Optional[ArtifactCache]) -> dict:
+    """One trial as its JSON-native payload (worker-safe).
+
+    Serial, parallel and journal-replayed trials all pass through the
+    same payload encoding, so the paths cannot drift.
+    """
+    point, settings, baseline = item
+    return evaluate_point(point, settings, baseline, cache).as_dict()
+
+
 class _Evaluator:
     """Journal-aware, optionally parallel batch evaluator.
 
@@ -177,50 +188,33 @@ class _Evaluator:
         """Evaluate a batch in order; journal hits skip simulation."""
         settings = settings or self.settings
         baseline = self.baseline_for(settings)
-        results: list[Optional[TrialResult]] = [None] * len(points)
-        missing: list[int] = []
-        for i, point in enumerate(points):
-            entry = None
-            if self.journal is not None:
-                entry = self.journal.completed(
-                    trial_key(point, settings), trial_fingerprint(point, settings)
-                )
-            if entry is not None and entry.payload is not None:
-                results[i] = TrialResult.from_dict(entry.payload)
-                self.journal_hits += 1
-            else:
-                missing.append(i)
+        fresh = 0
 
-        if missing:
-            items = [
-                (points[i].as_dict(), settings, baseline.as_dict())
-                for i in missing
-            ]
-            if self.jobs > 1:
-                payloads = parallel_map(
-                    _trial_task, items, jobs=self.jobs, cache_dir=self.cache.cache_dir
-                )
-                fresh = [TrialResult.from_dict(p) for p in payloads]
-            else:
-                fresh = [
-                    evaluate_point(points[i], settings, baseline, self.cache)
-                    for i in missing
-                ]
-            for i, trial in zip(missing, fresh):
-                results[i] = trial
-                if self.journal is not None:
-                    self.journal.record_completed(
-                        trial_key(points[i], settings),
-                        trial_fingerprint(points[i], settings),
-                        payload=trial.as_dict(),
-                    )
+        def count_fresh(index: int, payload: dict) -> None:
+            nonlocal fresh
+            fresh += 1
 
-        out: list[TrialResult] = []
-        for trial in results:
-            assert trial is not None
+        payloads = run_sweep(
+            _evaluate_trial,
+            [(point, settings, baseline) for point in points],
+            self.jobs,
+            keys=[
+                (trial_key(point, settings), trial_fingerprint(point, settings))
+                for point in points
+            ],
+            journal=self.journal,
+            json_journal=True,
+            cache=self.cache,
+            on_result=count_fresh,
+            trace_length=settings.trace_length * len(settings.benchmarks),
+            engine=settings.engine,
+            self_check=settings.self_check,
+        )
+        self.journal_hits += len(points) - fresh
+        out = [TrialResult.from_dict(payload) for payload in payloads]
+        for trial in out:
             self.trials.append((self._index, generation, trial))
             self._index += 1
-            out.append(trial)
         self._record_generation(generation, out)
         self._emit_spans(generation, settings, out)
         return out

@@ -280,24 +280,6 @@ def trial_fingerprint(point: DesignPoint, settings: GymSettings) -> str:
     )
 
 
-def _trial_task(item: tuple[dict, GymSettings, dict]) -> dict:
-    """Module-level unit of work for :func:`repro.perf.parallel.parallel_map`.
-
-    Ships JSON-native payloads both ways so worker results are exactly
-    what the journal stores (the parallel and serial paths cannot drift).
-    """
-    from repro.perf.executor import _worker_cache
-
-    point_payload, settings, baseline_payload = item
-    result = evaluate_point(
-        DesignPoint.from_dict(point_payload),
-        settings,
-        Baseline.from_dict(baseline_payload),
-        cache=_worker_cache(),
-    )
-    return result.as_dict()
-
-
 #: The paper's single-cluster machine as a gym baseline sanity check:
 #: evaluating PAPER_SINGLE_POINT must reproduce the baseline exactly
 #: (rel_cycles == speedup == 1.0); asserted in tests/gym/test_fitness.py.

@@ -1,13 +1,13 @@
 """Sweep executors: submit/poll/cancel over ``(benchmark, part, options)`` tasks.
 
-The process-pool engine of :mod:`repro.perf.parallel` has one blind
-spot: a worker that *dies* (SIGKILL, OOM killer, a lost host in a
-distributed deployment) or *wedges* (a runaway simulation, a network
-partition swallowing the result) stalls the whole sweep forever —
-``concurrent.futures`` only surfaces a broken pool, and only sometimes.
-This module makes worker failure a first-class, recoverable event by
-splitting the sweep drivers from the fan-out machinery behind a small
-interface:
+A plain process pool has one blind spot: a worker that *dies*
+(SIGKILL, OOM killer, a lost host in a distributed deployment) or
+*wedges* (a runaway simulation, a network partition swallowing the
+result) stalls the whole sweep forever — ``concurrent.futures`` only
+surfaces a broken pool, and only sometimes.  This module makes worker
+failure a first-class, recoverable event by splitting the sweep driver
+(:func:`repro.perf.parallel.fan_out`) from the fan-out machinery behind
+a small interface:
 
 * :class:`SweepExecutor` — the contract: :meth:`~SweepExecutor.submit`
   tasks, :meth:`~SweepExecutor.poll` completed results,
@@ -16,10 +16,6 @@ interface:
   every task is a pure function of its ``(benchmark, part, options)``
   payload — *which* worker computes it, or how many times, cannot
   change the value.
-* :class:`PoolSweepExecutor` — the existing
-  :class:`~concurrent.futures.ProcessPoolExecutor` path, unchanged
-  semantics (a dead worker still breaks the pool; this is the fast,
-  trusting default).
 * :class:`SupervisedPoolExecutor` — one supervised process per slot,
   each fed through its own inbox queue so the supervisor always knows
   which task is on which worker.  Per-task deadlines (sized from the
@@ -65,7 +61,6 @@ import os
 import queue
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
@@ -79,7 +74,7 @@ from repro.robustness.retry import RetryPolicy
 log = logging.getLogger("repro.executor")
 
 #: Executor implementations selectable via ``EvaluationOptions.executor``.
-EXECUTOR_KINDS = ("pool", "supervised", "distributed")
+EXECUTOR_KINDS = ("supervised", "distributed")
 
 #: Floor for derived per-task deadlines (seconds).
 MIN_TASK_TIMEOUT = 30.0
@@ -130,9 +125,9 @@ def default_task_timeout(
 def _init_worker(cache_dir) -> None:
     global _WORKER_CACHE
     _WORKER_CACHE = ArtifactCache(cache_dir)
-    # The parent coordinates interruption (cancel pending, drain running,
-    # journal, raise SweepInterrupted); a group-delivered Ctrl-C must not
-    # let workers die mid-task underneath it.
+    # The parent coordinates interruption (deliver finished results, kill
+    # the workers, raise SweepInterrupted); a group-delivered Ctrl-C must
+    # not let workers die mid-task underneath it.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
@@ -161,24 +156,16 @@ def _mp_context():
     return multiprocessing.get_context()  # pragma: no cover - non-POSIX
 
 
-def _pool(jobs: int, cache_dir=None) -> ProcessPoolExecutor:
-    """A process pool that forks where possible (state inheritance)."""
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=_mp_context(),
-        initializer=_init_worker,
-        initargs=(cache_dir,),
-    )
-
-
 # ------------------------------------------------------------------- tasks
 @dataclass(frozen=True)
 class SweepTask:
     """One sweep work unit: a ``(benchmark, part, options)`` triple.
 
-    ``token`` is the stable identity used for re-dispatch bookkeeping
-    and the deterministic backoff schedule; ``payload()`` is exactly the
-    item the worker-side task function consumes.
+    Table 2 tasks name a real benchmark and part; generic sweep points
+    (:func:`repro.perf.parallel.run_sweep`) are ``("point", index)``.  ``token`` is the stable identity used for
+    re-dispatch bookkeeping and the deterministic backoff schedule, so
+    it must be unique within a batch; ``payload()`` is exactly the item
+    the worker-side task function consumes.
     """
 
     benchmark: str
@@ -286,64 +273,6 @@ class SweepExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class PoolSweepExecutor(SweepExecutor):
-    """The PR 2 process pool behind the executor interface.
-
-    No supervision: a worker that dies raises
-    :class:`~concurrent.futures.process.BrokenProcessPool` out of
-    :meth:`poll` (the caller's interrupt path handles it), and a wedged
-    worker blocks forever.  This is the fast, trusting default for
-    healthy single-host runs.
-    """
-
-    def __init__(
-        self,
-        task_fn: Callable[[tuple], Any],
-        jobs: int,
-        cache_dir=None,
-        *,
-        spans=None,
-    ) -> None:
-        self._task_fn = task_fn
-        self._pool = _pool(jobs, cache_dir)
-        self._futures: dict[Any, SweepTask] = {}
-        self._wall = WallSpans(spans)
-
-    def submit(self, task: SweepTask) -> None:
-        future = self._pool.submit(self._task_fn, task.payload())
-        self._futures[future] = task
-        self._wall.begin(future, "dispatch", task.token)
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._futures)
-
-    def poll(self, timeout: Optional[float] = None) -> list[TaskResult]:
-        if not self._futures:
-            return []
-        done, _ = wait(
-            set(self._futures), timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        results = []
-        for future in done:
-            task = self._futures.pop(future)
-            results.append(TaskResult(task=task, value=future.result()))
-            self._wall.end(future, ok=True)
-        return results
-
-    def cancel(self) -> int:
-        cancelled = sum(1 for future in self._futures if future.cancel())
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        self._futures.clear()
-        self._wall.close(ok=False, reason="cancelled")
-        return cancelled
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        self._futures.clear()
-        self._wall.close(ok=False, reason="closed")
 
 
 # ------------------------------------------------------- supervised worker
@@ -782,8 +711,6 @@ def make_sweep_executor(
         max_delay=1.0,
         seed=seed,
     )
-    if kind == "pool":
-        return PoolSweepExecutor(task_fn, jobs, cache_dir, spans=spans)
     if kind == "supervised":
         return SupervisedPoolExecutor(
             task_fn,
@@ -824,7 +751,6 @@ __all__ = [
     "MIN_TASK_TIMEOUT",
     "SELF_CHECK_TIMEOUT_FACTOR",
     "ExecutorDegradation",
-    "PoolSweepExecutor",
     "SupervisedPoolExecutor",
     "SweepExecutor",
     "SweepTask",

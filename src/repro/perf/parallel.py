@@ -1,54 +1,62 @@
-"""Process-pool parallel sweep engine (the ``--jobs N`` machinery).
+"""The sweep driver behind every ``--jobs N`` sweep.
 
 The Section 4 methodology is independent across benchmarks *and* across
 the three runs per benchmark, so a Table 2 sweep decomposes into
-``len(benchmarks) * 3`` work units.  Each unit is re-derived inside the
-worker from ``(benchmark name, part, options)`` — every stage is seeded
-and deterministic, so results are bit-identical to the serial path, and
-nothing but small inputs and final results crosses the process boundary.
+``len(benchmarks) * 3`` work units; the ablation, Figure 6,
+queue-size, reassignment and design-space sweeps are lists of
+independent points.  Each unit is re-derived inside the worker from
+small inputs — every stage is seeded and deterministic, so results are
+bit-identical to the serial path, and nothing but small inputs and
+final results crosses the process boundary.
+
+:func:`fan_out` is the one driver: it resolves ``jobs``, runs serially
+in-process (no worker is started) for ``jobs == 1`` or a single task,
+and otherwise submits every task to a
+:class:`~repro.perf.executor.SweepExecutor` built by
+:func:`~repro.perf.executor.make_sweep_executor` and hands each result
+to the caller the moment it arrives.  :func:`run_sweep` layers the
+generic points on top (journal reuse and per-point journaling);
+:func:`run_table2_parallel` keeps only the Table 2 specifics.
 
 Design notes:
 
 * Workers fork from the parent (where the platform supports it), so
   monkeypatched registries and installed fault injection are inherited —
-  PR 1's robustness matrix exercises the pool exactly like the serial
-  path, and a worker raising :class:`~repro.errors.ReproError` degrades
-  into the same :class:`~repro.experiments.harness.BenchmarkFailure`
-  record a serial sweep produces.
-* Failures are converted to :class:`BenchmarkFailure` *inside* the
-  worker: exception subclasses with mandatory context kwargs do not
-  survive pickling faithfully, and the sweep needs the context intact.
+  the robustness matrix exercises the workers exactly like the serial
+  path.  A Table 2 worker raising :class:`~repro.errors.ReproError`
+  degrades into the same :class:`~repro.experiments.harness.BenchmarkFailure`
+  record a serial sweep produces; a generic point that raises sends the
+  error home as a value and the parent re-raises it, same type and
+  message, without counting a lost worker.
 * Each worker process holds one process-local
   :class:`~repro.perf.cache.ArtifactCache` (optionally disk-backed, in
-  which case all workers share the directory); per-task counter deltas
-  are shipped back and merged into the parent's cache stats so hit/miss
-  accounting stays correct under ``--jobs N``.
+  which case all workers share the directory); Table 2 ships per-task
+  counter deltas back and merges them into the parent's cache stats so
+  hit/miss accounting stays correct under ``--jobs N``.
 * Retries run *inside* the worker (``options.retry``), so a transient
   fault costs one worker a re-run, not the whole sweep a round-trip.
-* SIGINT/SIGTERM to the parent shuts the sweep down in order: pending
-  work units are cancelled, in-flight ones drain (they are seconds-sized),
-  every already-completed row has been delivered to the caller (and
-  journaled, when a journal is attached), workers exit with the pool —
-  no orphans — and the sweep raises
+* SIGINT/SIGTERM to the parent stops the sweep: every result that came
+  home before the signal has been delivered to the caller (and
+  journaled, when a journal is attached), in-flight workers are
+  SIGKILLed rather than drained — no orphans — and the sweep raises
   :class:`~repro.errors.SweepInterrupted` (exit code 130) so a follow-up
-  ``--resume`` picks up cleanly.  Workers ignore SIGINT themselves: the
-  parent owns cancellation, so a Ctrl-C delivered to the process group
-  cannot half-kill the pool.
-* The fan-out machinery itself lives behind
-  :class:`~repro.perf.executor.SweepExecutor`
-  (:mod:`repro.perf.executor`): ``--executor pool`` is the trusting
-  pool above; ``--executor supervised`` adds per-task deadlines,
+  ``--resume`` recomputes only the missing units.  Workers ignore SIGINT
+  themselves: the parent owns cancellation, so a Ctrl-C delivered to the
+  process group cannot half-kill the pool.
+* The default executor is ``supervised``: per-task deadlines (derived
+  from each sweep's trace length, simulations per task, engine and
+  self-check by :func:`~repro.perf.executor.default_task_timeout`),
   dead/wedged-worker detection, bounded re-dispatch, and a circuit
-  breaker that finishes the sweep serially instead of hanging — the
-  multi-host failure model from the ROADMAP, exercised single-host.
+  breaker that finishes the sweep serially instead of hanging.  Table 2
+  can also pick ``distributed`` (:mod:`repro.dist.coordinator`).
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+import traceback
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
@@ -56,21 +64,15 @@ from typing import Any, Callable, Optional, Sequence
 from repro.errors import ConfigError, ReproError, SweepInterrupted
 from repro.experiments.harness import (
     PARTS,
-    BenchmarkEvaluation,
     BenchmarkFailure,
     EvaluationOptions,
-    PartOutcome,
     assemble_evaluation,
     evaluate_part_with_retry,
-    evaluate_workload_retrying,
 )
 from repro.perf.cache import ArtifactCache
-from repro.perf.executor import (
-    SweepTask,
-    _pool,
-    _worker_cache,
-    make_sweep_executor,
-)
+from repro.perf.executor import SweepTask, _worker_cache, make_sweep_executor
+
+log = logging.getLogger("repro.sweep")
 
 #: Hard ceiling on explicit ``--jobs`` relative to the machine: beyond
 #: this the request is a typo (e.g. ``--jobs 1200`` for ``--jobs 12``),
@@ -132,50 +134,184 @@ def sweep_signals():
             signal.signal(sig, handler)
 
 
-def _interrupted(pool: ProcessPoolExecutor, futures, cause: str) -> SweepInterrupted:
-    """Orderly shutdown after an interrupt; returns the error to raise."""
-    cancelled = 0
-    for future in futures:
-        if future.cancel():
-            cancelled += 1
-    pool.shutdown(wait=True, cancel_futures=True)
-    return SweepInterrupted(
-        "sweep interrupted; completed rows are journaled and the run is "
-        "resumable with --resume",
-        cause=cause,
-        cancelled_units=cancelled,
-    )
-
-
-def _executor_interrupted(executor, cause: str) -> SweepInterrupted:
-    """Orderly executor shutdown after an interrupt; returns the error."""
-    cancelled = executor.cancel()
-    return SweepInterrupted(
-        "sweep interrupted; completed rows are journaled and the run is "
-        "resumable with --resume",
-        cause=cause,
-        cancelled_units=cancelled,
-    )
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    jobs: int = 1,
+def fan_out(
+    task_fn: Callable[[tuple], Any],
+    tasks: Sequence[SweepTask],
+    jobs: int,
+    deliver: Callable[[SweepTask, Any], None],
+    *,
+    run_serial: Callable[[SweepTask], Any],
+    kind: str = "supervised",
+    journal=None,
     cache_dir=None,
-) -> list[Any]:
-    """Ordered map over ``items``, serial for ``jobs == 1`` or short input.
+    spans=None,
+    **executor_options: Any,
+) -> None:
+    """Run ``tasks`` serially or across workers; the one sweep driver.
 
-    ``fn`` must be a module-level callable (workers import it by name).
+    ``jobs`` goes through :func:`resolve_jobs`.  One job (or a single
+    task) runs ``run_serial(task)`` for each task in order, in-process.
+    Otherwise ``task_fn`` (module-level; it receives
+    ``task.payload()``) runs in the workers of an executor of ``kind``,
+    built by :func:`~repro.perf.executor.make_sweep_executor` from
+    ``cache_dir``, ``spans`` and ``executor_options``.  Either way
+    ``deliver(task, value)`` fires in the parent as each result
+    arrives, so a caller that journals there loses at most in-flight
+    tasks to a kill.  An interrupt raises
+    :class:`~repro.errors.SweepInterrupted` after killing the workers;
+    any other error from a delivery also kills them before it
+    propagates.  Executor degradations are logged and, with a
+    ``journal``, recorded as ``executor_degradation`` events; a spanned
+    sweep also writes the executor's final metrics next to its span
+    files.
     """
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with _pool(jobs, cache_dir) as pool, sweep_signals():
+    if jobs == 1 or len(tasks) <= 1:
+        for task in tasks:
+            deliver(task, run_serial(task))
+        return
+    sweep = make_sweep_executor(
+        kind,
+        task_fn,
+        min(jobs, len(tasks)),
+        cache_dir,
+        spans=spans,
+        **executor_options,
+    )
+    with sweep, sweep_signals():
         try:
-            return list(pool.map(fn, items))
-        except (KeyboardInterrupt, BrokenProcessPool) as error:
-            raise _interrupted(pool, (), type(error).__name__) from None
+            for task in tasks:
+                sweep.submit(task)
+            while sweep.outstanding:
+                for result in sweep.poll():
+                    deliver(result.task, result.value)
+        except KeyboardInterrupt as error:
+            raise SweepInterrupted(
+                "sweep interrupted; completed rows are journaled and the run "
+                "is resumable with --resume",
+                cause=type(error).__name__,
+                cancelled_units=sweep.cancel(),
+            ) from None
+        except BaseException:
+            sweep.cancel()
+            raise
+    # The distributed coordinator's cascade can degrade more than once
+    # (remote -> supervised -> serial); journal every step.
+    for degradation in sweep.degradations:
+        log.warning("%s", degradation.format())
+        if journal is not None:
+            journal.record_event("executor_degradation", degradation.as_dict())
+    registry = getattr(sweep, "metrics", None)
+    if spans is not None and registry is not None:
+        # Final executor metrics — including the distributed
+        # coordinator's per-host labeled series — land next to the span
+        # files, in the Prometheus text format 'repro stats' also speaks.
+        from repro.obs.export import write_prometheus
+
+        write_prometheus(spans.run_dir / "executor-metrics.prom", registry)
+
+
+# ------------------------------------------------------------ generic points
+class _Raised:
+    """An exception a worker sends home as a value (see :func:`_point_task`)."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+        # Tracebacks do not pickle; the parent chains this text instead.
+        self.traceback = traceback.format_exc()
+
+
+def _point_task(payload: tuple) -> Any:
+    """Worker side of one generic sweep point: ``fn(item, worker cache)``.
+
+    The supervised executor counts a worker that dies on an exception as
+    a lost worker and re-dispatches its task, so the error travels home
+    as a value instead and the parent re-raises it.
+    """
+    _, _, (fn, item) = payload
+    try:
+        return fn(item, _worker_cache())
+    except Exception as error:
+        return _Raised(error)
+
+
+def run_sweep(
+    fn: Callable[[Any, Optional[ArtifactCache]], Any],
+    items: Sequence[Any],
+    jobs: int,
+    *,
+    keys: Sequence[tuple[str, str]],
+    journal=None,
+    json_journal: bool = False,
+    cache: Optional[ArtifactCache] = None,
+    on_result: Optional[Callable[[int, Any], None]] = None,
+    trace_length: int = 0,
+    engine: Optional[str] = None,
+    self_check: bool = False,
+) -> list[Any]:
+    """``[fn(item, cache) for item in items]``, fanned out by :func:`fan_out`.
+
+    ``fn`` must be module-level (workers receive it by reference); it
+    gets ``cache`` in the serial path and the worker's process-local
+    cache in a worker.  An error ``fn`` raises reaches the caller with
+    its own type and message.
+
+    ``keys`` holds one journal ``(key, fingerprint)`` per item.  With a
+    ``journal``, items already journaled under a matching fingerprint are
+    reused verbatim and every fresh value is journaled the moment it
+    arrives — as a pickled artifact, or as the JSON ``payload`` when
+    ``json_journal`` is set.  ``on_result(index, value)`` fires after
+    each fresh value is journaled.
+
+    ``trace_length`` is the dynamic instructions one item simulates in
+    total (trace length times simulations per item); with ``engine`` and
+    ``self_check`` it sizes the per-task deadline through
+    :func:`~repro.perf.executor.default_task_timeout`.
+    """
+    values: list[Any] = [None] * len(items)
+    todo = list(range(len(items)))
+    if journal is not None:
+        todo = []
+        for index, (key, fingerprint) in enumerate(keys):
+            entry = journal.completed(key, fingerprint)
+            if json_journal:
+                reused = entry.payload if entry is not None else None
+            else:
+                reused = journal.load_artifact(entry)
+            if reused is None:
+                todo.append(index)
+            else:
+                values[index] = reused
+
+    def deliver(task: SweepTask, value: Any) -> None:
+        if isinstance(value, _Raised):
+            raise value.error from RuntimeError(
+                f"raised in a sweep worker:\n{value.traceback}"
+            )
+        index = int(task.part)
+        values[index] = value
+        if journal is not None:
+            key, fingerprint = keys[index]
+            if json_journal:
+                journal.record_completed(key, fingerprint, payload=value)
+            else:
+                journal.record_completed(key, fingerprint, artifact_value=value)
+        if on_result is not None:
+            on_result(index, value)
+
+    fan_out(
+        _point_task,
+        [SweepTask("point", str(index), (fn, items[index])) for index in todo],
+        jobs,
+        deliver,
+        run_serial=lambda task: fn(items[int(task.part)], cache),
+        journal=journal,
+        cache_dir=cache.cache_dir if cache is not None else None,
+        trace_length=trace_length,
+        engine=engine,
+        self_check=self_check,
+    )
+    return values
 
 
 # ------------------------------------------------------------- Table 2 sweep
@@ -207,32 +343,25 @@ def _sweep_task(item: tuple[str, str, EvaluationOptions]):
 def run_table2_parallel(
     names: Sequence[str],
     options: EvaluationOptions,
-    on_benchmark: Optional[Callable[[str, Any, int], None]] = None,
-    on_event: Optional[Callable[[str, dict], None]] = None,
-) -> tuple[dict[str, BenchmarkEvaluation], list[BenchmarkFailure]]:
-    """Fan a Table 2 sweep out to worker processes.
-
-    Returns ``(evaluations by name, failures)`` with exactly the rows and
-    failure records the serial sweep would produce: a benchmark with any
-    failed part yields one failure (the first in part order — the order
-    the serial methodology hits them) and no row.
+    on_benchmark: Callable[[str, Any, int], None],
+    journal=None,
+) -> None:
+    """Fan a Table 2 sweep out to worker processes through :func:`fan_out`.
 
     ``on_benchmark(name, evaluation_or_failure, attempts)`` fires in the
-    parent the moment a benchmark's three parts are all home — the
-    journaling hook: each finished row is durable before the sweep moves
-    on, so a kill at any point loses at most in-flight benchmarks.
+    parent the moment a benchmark's three parts are all home, with
+    exactly the row or failure record the serial sweep would produce: a
+    benchmark with any failed part yields one failure (the first in part
+    order — the order the serial methodology hits them) and no row.  It
+    is the journaling hook: each finished row is durable before the
+    sweep moves on, so a kill at any point loses at most in-flight
+    benchmarks.
     Interrupts raise :class:`~repro.errors.SweepInterrupted` after every
-    finished row has been delivered.
-
-    ``on_event(kind, payload)`` fires for executor-level incidents that
-    are not row outcomes — today only ``"executor_degradation"``, when
-    the supervised executor's circuit breaker abandoned its workers and
-    finished the sweep serially (the rows are still bit-identical; the
-    event is the audit trail).
+    finished row has been delivered.  ``journal`` receives the
+    executor's degradation events (the rows are still bit-identical;
+    the event is the audit trail).
     """
-    jobs = resolve_jobs(options.jobs)
     cache = options.cache
-    cache_dir = cache.cache_dir if cache is not None else None
     # Workers get a self-contained serial option set; the parent-side
     # cache object is not shipped (each worker holds its own tier),
     # worker-fault injection must not recurse into the task itself, and
@@ -249,27 +378,29 @@ def run_table2_parallel(
 
     results: dict[tuple[str, str], Any] = {}
     attempts_by_name: dict[str, int] = {name: 0 for name in names}
-    evaluations: dict[str, BenchmarkEvaluation] = {}
-    failures_by_name: dict[str, BenchmarkFailure] = {}
 
-    def _finish_benchmark(name: str) -> None:
-        payloads = [results[(name, part)] for part in PARTS]
+    def deliver(task: SweepTask, value: Any) -> None:
+        name, part, payload, attempts, stats_delta = value
+        results[(name, part)] = payload
+        attempts_by_name[name] += attempts
+        if cache is not None:
+            cache.stats.merge(stats_delta)
+        if not all((name, p) in results for p in PARTS):
+            return
+        payloads = [results[(name, p)] for p in PARTS]
         failed = [p for p in payloads if isinstance(p, BenchmarkFailure)]
-        if failed:
-            outcome: Any = failed[0]
-            failures_by_name[name] = failed[0]
-        else:
-            outcomes: list[PartOutcome] = payloads
-            outcome = assemble_evaluation(name, outcomes)
-            evaluations[name] = outcome
-        if on_benchmark is not None:
-            on_benchmark(name, outcome, attempts_by_name[name])
+        outcome = failed[0] if failed else assemble_evaluation(name, payloads)
+        on_benchmark(name, outcome, attempts_by_name[name])
 
-    executor = make_sweep_executor(
-        options.executor,
+    fan_out(
         _sweep_task,
-        jobs,
-        cache_dir,
+        tasks,
+        options.jobs,
+        deliver,
+        run_serial=lambda task: _sweep_task(task.payload()),
+        kind=options.executor,
+        journal=journal,
+        cache_dir=cache.cache_dir if cache is not None else None,
         trace_length=options.trace_length,
         task_timeout=options.task_timeout,
         redispatch_budget=options.redispatch_budget,
@@ -283,92 +414,3 @@ def run_table2_parallel(
         dist_wait_s=options.dist_wait_s,
         spans=options.spans,
     )
-    with executor, sweep_signals():
-        try:
-            for task in tasks:
-                executor.submit(task)
-            while executor.outstanding:
-                for task_result in executor.poll():
-                    name, part, payload, attempts, stats_delta = task_result.value
-                    results[(name, part)] = payload
-                    attempts_by_name[name] += attempts
-                    if cache is not None:
-                        cache.stats.merge(stats_delta)
-                    if all((name, p) in results for p in PARTS):
-                        _finish_benchmark(name)
-        except (KeyboardInterrupt, BrokenProcessPool) as error:
-            raise _executor_interrupted(executor, type(error).__name__) from None
-    if on_event is not None:
-        # The distributed coordinator's cascade can degrade more than
-        # once (remote -> supervised -> serial); journal every step.
-        for degradation in executor.degradations:
-            on_event("executor_degradation", degradation.as_dict())
-    registry = getattr(executor, "metrics", None)
-    if options.spans is not None and registry is not None:
-        # Final executor metrics — including the distributed
-        # coordinator's per-host labeled series — land next to the span
-        # files, in the Prometheus text format 'repro stats' also speaks.
-        from repro.obs.export import write_prometheus
-
-        write_prometheus(
-            options.spans.run_dir / "executor-metrics.prom", registry
-        )
-
-    failures = [failures_by_name[n] for n in names if n in failures_by_name]
-    return evaluations, failures
-
-
-# --------------------------------------------------------- generic eval fan
-def _evaluate_task(item: tuple[Any, EvaluationOptions]) -> BenchmarkEvaluation:
-    workload, options = item
-    return evaluate_workload_retrying(workload, options, cache=_worker_cache())
-
-
-def evaluate_many(
-    tasks: Sequence[tuple[Any, EvaluationOptions]],
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    on_result: Optional[Callable[[int, BenchmarkEvaluation], None]] = None,
-) -> list[BenchmarkEvaluation]:
-    """Evaluate ``(workload, options)`` pairs, optionally across workers.
-
-    Used by the ablation and Figure 6 sweeps, whose points are fully
-    formed workloads rather than registry names.  Errors propagate (these
-    sweeps have no per-row degradation contract), but each point runs
-    under the options' retry policy first.  ``on_result(index, result)``
-    fires per completed point — again the journaling hook — and
-    interrupts raise :class:`~repro.errors.SweepInterrupted` after the
-    completed points are delivered.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        out = []
-        for index, (workload, options) in enumerate(tasks):
-            result = evaluate_workload_retrying(workload, options, cache=cache)
-            if on_result is not None:
-                on_result(index, result)
-            out.append(result)
-        return out
-    cache_dir = cache.cache_dir if cache is not None else None
-    items = [
-        (workload, replace(options, jobs=1, cache=None))
-        for workload, options in tasks
-    ]
-    results: list[Optional[BenchmarkEvaluation]] = [None] * len(items)
-    with _pool(jobs, cache_dir) as pool, sweep_signals():
-        future_index = {
-            pool.submit(_evaluate_task, item): index
-            for index, item in enumerate(items)
-        }
-        pending = set(future_index)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = future_index[future]
-                    results[index] = future.result()
-                    if on_result is not None:
-                        on_result(index, results[index])
-        except (KeyboardInterrupt, BrokenProcessPool) as error:
-            raise _interrupted(pool, pending, type(error).__name__) from None
-    return results  # type: ignore[return-value]

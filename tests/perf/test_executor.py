@@ -7,7 +7,6 @@ from repro.experiments.harness import EvaluationOptions
 from repro.experiments.table2 import run_table2
 from repro.perf.executor import (
     MIN_TASK_TIMEOUT,
-    PoolSweepExecutor,
     SupervisedPoolExecutor,
     SweepTask,
     default_task_timeout,
@@ -41,18 +40,6 @@ def _run_all(executor, tasks):
 
 def _tasks(n=3):
     return [SweepTask(benchmark=f"b{i}", part="single") for i in range(n)]
-
-
-class TestPoolExecutor:
-    def test_delivers_every_task(self):
-        results = _run_all(PoolSweepExecutor(_echo_task, jobs=2), _tasks(4))
-        assert len(results) == 4
-        assert results["b0:single"].value[2] == "value:b0:single"
-
-    def test_no_degradation_on_happy_path(self):
-        pool = PoolSweepExecutor(_echo_task, jobs=2)
-        _run_all(pool, _tasks(2))
-        assert pool.degradation is None
 
 
 class TestSupervisedHappyPath:
@@ -275,17 +262,25 @@ class TestFactoryAndTimeouts:
             )
 
     def test_factory_builds_both_kinds(self):
-        pool = make_sweep_executor("pool", _echo_task, 1)
+        from repro.dist.coordinator import DistributedExecutor
+
         sup = make_sweep_executor(
             "supervised", _echo_task, 1, trace_length=1000
         )
+        dist = make_sweep_executor("distributed", _echo_task, 1)
         try:
-            assert isinstance(pool, PoolSweepExecutor)
             assert isinstance(sup, SupervisedPoolExecutor)
             assert sup.task_timeout == default_task_timeout(1000)
+            assert isinstance(dist, DistributedExecutor)
         finally:
-            pool.close()
             sup.close()
+            dist.close()
+
+    def test_pool_kind_is_gone(self):
+        with pytest.raises(ConfigError, match="unknown sweep executor") as info:
+            make_sweep_executor("pool", _echo_task, 2)
+        message = str(info.value)
+        assert "supervised" in message and "distributed" in message
 
 
 class TestCancel:

@@ -9,7 +9,7 @@ from repro.experiments.harness import EvaluationOptions
 from repro.experiments.reassignment import run_reassignment_demo
 from repro.experiments.table2 import run_table2
 from repro.perf.cache import ArtifactCache
-from repro.perf.parallel import parallel_map, resolve_jobs
+from repro.perf.parallel import resolve_jobs
 from repro.workloads import spec92
 
 TL = 1200
@@ -58,14 +58,6 @@ class TestResolveJobs:
         assert resolve_jobs(ceiling) == ceiling
         with pytest.raises(ConfigError):
             resolve_jobs(ceiling + 1)
-
-
-class TestParallelMap:
-    def test_serial_path_for_single_job(self):
-        assert parallel_map(abs, [-1, 2, -3], jobs=1) == [1, 2, 3]
-
-    def test_pool_preserves_order(self):
-        assert parallel_map(abs, [-5, -4, -3, -2], jobs=2) == [5, 4, 3, 2]
 
 
 class TestTable2BitIdentity:

@@ -59,7 +59,7 @@ def test_table2_full(benchmark):
         return run_table2(options=EvaluationOptions(trace_length=BENCH_TRACE_LENGTH // 3))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\n" + format_table2(result, detailed=True))
+    print("\n" + format_table2(result))
     assert len(result.rows) == 6
     improved = sum(1 for r in result.rows if r.pct_local >= r.pct_none)
     assert improved >= 4  # the local scheduler wins on most benchmarks

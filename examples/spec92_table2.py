@@ -29,7 +29,7 @@ def main() -> None:
     )
     result = run_table2(benchmarks, EvaluationOptions(trace_length=trace_length))
     print()
-    print(format_table2(result, detailed=True))
+    print(format_table2(result))
     print()
     print("Reading the table: ratios are 100 - 100*(C_dual/C_single);")
     print("negative = the dual-cluster machine needs more cycles. The paper's")

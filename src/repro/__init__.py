@@ -22,7 +22,7 @@ The package is organized bottom-up:
 Quickstart::
 
     from repro.experiments import run_table2, format_table2
-    print(format_table2(run_table2(["compress"]), detailed=True))
+    print(format_table2(run_table2(["compress"])))
 """
 
 from repro.compiler import CompilationResult, CompilerOptions, compile_program

@@ -21,7 +21,6 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
                             [--generations N] [--trace-length N] [--jobs N]
                             [--trajectory FILE] [--frontier FILE]
                             [--resume DIR]
-    python -m repro bench [--quick] [--jobs N] [--output BENCH_table2.json]
     python -m repro replay BUNDLE.json
     python -m repro chaos [--quick] [--seed N] [--rounds N] [--run-dir DIR]
                           [--worker-faults] [--host-faults [--hosts N]]
@@ -162,7 +161,7 @@ def _cmd_table2(args: argparse.Namespace) -> None:
             journal.close()
         if options.spans is not None:
             options.spans.close()
-    print(format_table2(result, detailed=args.detailed))
+    print(format_table2(result))
     if options.spans is not None:
         log.info(
             "spans: %d emitted -> %s", options.spans.emitted, options.spans.path
@@ -436,9 +435,7 @@ def _report_cache_stats(cache) -> None:
         log.info("%s", cache.stats.format())
 
 
-def _add_perf_flags(
-    parser: argparse.ArgumentParser, cache_flags: bool = True
-) -> None:
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
@@ -447,6 +444,11 @@ def _add_perf_flags(
         help="worker processes for the sweep (1 = serial, 0 = one per CPU "
         "core); results are bit-identical to the serial run",
     )
+
+
+def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
+    """The fan-out knobs; only the Table 2 sweeps (``table2``,
+    ``cycle-time``) read them, through :func:`_evaluation_options`."""
     parser.add_argument(
         "--executor",
         choices=["supervised", "distributed"],
@@ -503,6 +505,9 @@ def _add_perf_flags(
         help="re-dispatches allowed per task after a lost worker before "
         "the supervised executor degrades the sweep to serial",
     )
+
+
+def _add_engine_and_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=["reference", "batched"],
@@ -511,30 +516,32 @@ def _add_perf_flags(
         "model, 'batched' the fused hot-loop kernel (bit-identical "
         "stats, several times faster); default: the config's choice",
     )
-    if cache_flags:
-        parser.add_argument(
-            "--cache",
-            action="store_true",
-            help="cache compile/trace artifacts on disk "
-            "($REPRO_CACHE_DIR or ~/.cache/repro)",
-        )
-        parser.add_argument(
-            "--cache-dir",
-            default=None,
-            metavar="DIR",
-            help="artifact cache directory (implies --cache)",
-        )
-
-
-def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="attempts per evaluation run before a row degrades "
-        "(1 = no retries); backoff is seeded and deterministic",
+        "--cache",
+        action="store_true",
+        help="cache compile/trace artifacts on disk "
+        "($REPRO_CACHE_DIR or ~/.cache/repro)",
     )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="artifact cache directory (implies --cache)",
+    )
+
+
+def _add_resilience_flags(
+    parser: argparse.ArgumentParser, retries: bool = True
+) -> None:
+    if retries:
+        parser.add_argument(
+            "--retries",
+            type=int,
+            default=1,
+            metavar="N",
+            help="attempts per evaluation run before a row degrades "
+            "(1 = no retries); backoff is seeded and deterministic",
+        )
     parser.add_argument(
         "--resume",
         default=None,
@@ -616,9 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     t2 = sub.add_parser("table2", help="regenerate Table 2")
     t2.add_argument("--trace-length", type=int, default=120_000)
     t2.add_argument("--benchmarks", nargs="*", default=None)
-    t2.add_argument("--detailed", action="store_true", default=True)
     _add_robustness_flags(t2)
-    _add_perf_flags(t2)
+    _add_jobs_flag(t2)
+    _add_executor_flags(t2)
+    _add_engine_and_cache_flags(t2)
     _add_resilience_flags(t2)
     _add_span_flags(t2)
     t2.set_defaults(func=_cmd_table2)
@@ -632,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the walk-through across imbalance thresholds",
     )
-    f6.add_argument("--jobs", type=int, default=1, metavar="N")
+    _add_jobs_flag(f6)
     f6.add_argument(
         "--resume",
         default=None,
@@ -645,7 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--trace-length", type=int, default=40_000)
     ct.add_argument("--benchmarks", nargs="*", default=None)
     _add_robustness_flags(ct)
-    _add_perf_flags(ct)
+    _add_jobs_flag(ct)
+    _add_executor_flags(ct)
+    _add_engine_and_cache_flags(ct)
     ct.set_defaults(func=_cmd_cycle_time)
 
     ab = sub.add_parser("ablations", help="design-choice sweeps")
@@ -660,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
         default=None,
     )
-    _add_perf_flags(ab, cache_flags=False)
+    _add_jobs_flag(ab)
     _add_resilience_flags(ab)
     ab.set_defaults(func=_cmd_ablations)
 
@@ -764,8 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the Pareto frontier as canonical JSON",
     )
     _add_robustness_flags(ex)
-    _add_perf_flags(ex)
-    _add_resilience_flags(ex)
+    _add_jobs_flag(ex)
+    _add_engine_and_cache_flags(ex)
+    _add_resilience_flags(ex, retries=False)
     _add_span_flags(ex)
     ex.set_defaults(func=_cmd_explore)
 
@@ -778,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reassignment", help="dynamic register reassignment demo (Section 6)"
     )
     ra.add_argument("--phase-length", type=int, default=2000)
-    _add_perf_flags(ra, cache_flags=False)
+    _add_jobs_flag(ra)
     ra.add_argument(
         "--resume",
         default=None,
@@ -786,37 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal directory for the three machine runs (see table2)",
     )
     ra.set_defaults(func=_cmd_reassignment)
-
-    be = sub.add_parser(
-        "bench",
-        help="time Table 2 serial vs parallel vs cached; write BENCH_table2.json",
-    )
-    be.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI preset: short traces (trace_length defaults to 2000)",
-    )
-    be.add_argument("--trace-length", type=int, default=None)
-    be.add_argument("--benchmarks", nargs="*", default=None)
-    be.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="workers for the parallel sweep (0 = one per core, min 2)",
-    )
-    be.add_argument("--output", default="BENCH_table2.json")
-    be.add_argument("--cache-dir", default=None, metavar="DIR")
-    be.add_argument(
-        "--min-engine-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail if the batched kernel's simulation-only speedup over "
-        "the reference kernel drops below X (default: the committed "
-        "floor; 0 disables the gate)",
-    )
-    be.set_defaults(func=_cmd_bench)
 
     rep = sub.add_parser(
         "replay",
@@ -1043,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["reference", "batched"],
         default=None,
-        help="simulation kernel (bit-identical stats; see 'bench')",
+        help="simulation kernel (bit-identical stats; see 'table2 --help')",
     )
     tr.set_defaults(func=_cmd_trace)
 
@@ -1084,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["reference", "batched"],
         default=None,
-        help="simulation kernel (bit-identical stats; see 'bench')",
+        help="simulation kernel (bit-identical stats; see 'table2 --help')",
     )
 
     st.set_defaults(func=_cmd_stats)
@@ -1241,22 +1221,6 @@ def _cmd_worker_serve(args: argparse.Namespace) -> None:
         connect_retries=DEFAULT_CONNECT_RETRIES if retries is None else retries,
     )
     print(report.format())
-
-
-def _cmd_bench(args: argparse.Namespace) -> None:
-    from repro.perf.bench import run_bench
-
-    report = run_bench(
-        benchmarks=args.benchmarks or None,
-        trace_length=args.trace_length,
-        quick=args.quick,
-        jobs=args.jobs,
-        output=args.output,
-        cache_dir=args.cache_dir,
-        min_engine_speedup=args.min_engine_speedup,
-    )
-    print(report.format())
-    print(f"wrote {args.output}")
 
 
 def _cmd_report(args: argparse.Namespace) -> None:

@@ -57,7 +57,7 @@ def generate_report(
     w(f"Traces: {trace_length} dynamic instructions per run.\n\n")
 
     w("## Table 2 — speedup ratios\n\n```\n")
-    w(format_table2(table2, detailed=True))
+    w(format_table2(table2))
     w("\n```\n\n")
 
     w("## Figures 2–5 — dual-execution scenarios\n\n```\n")

@@ -304,7 +304,7 @@ def _row_for(name: str, evaluation: BenchmarkEvaluation) -> Table2Row:
     )
 
 
-def format_table2(result: Table2Result, detailed: bool = False) -> str:
+def format_table2(result: Table2Result) -> str:
     """Paper-style rendering of the Table 2 reproduction."""
     lines = [
         "Table 2: speedup ratios 100 - 100*(C_dual/C_single)  [positive = speedup]",
@@ -323,36 +323,35 @@ def format_table2(result: Table2Result, detailed: bool = False) -> str:
         lines.append(f"{'benchmark':<10} {'error':<20} detail")
         for failure in result.failures:
             lines.append(failure.format())
-    if detailed:
-        lines.append("")
-        lines.append(
-            f"{'benchmark':<10} {'1-clu cyc':>10} {'none cyc':>10} {'local cyc':>10} "
-            f"{'dual% none':>10} {'dual% local':>11} {'replays n/l':>11} "
-            f"{'br acc':>7} {'d$ miss':>8}"
-        )
-        for row in result.rows:
-            ev = row.evaluation
-            if ev is None:
-                lines.append(
-                    f"{row.benchmark:<10} (percentages only; no evaluation attached)"
-                )
-                continue
+    lines.append("")
+    lines.append(
+        f"{'benchmark':<10} {'1-clu cyc':>10} {'none cyc':>10} {'local cyc':>10} "
+        f"{'dual% none':>10} {'dual% local':>11} {'replays n/l':>11} "
+        f"{'br acc':>7} {'d$ miss':>8}"
+    )
+    for row in result.rows:
+        ev = row.evaluation
+        if ev is None:
             lines.append(
-                f"{row.benchmark:<10} {ev.single.cycles:>10} {ev.dual_none.cycles:>10} "
-                f"{ev.dual_local.cycles:>10} "
-                f"{100 * ev.dual_none.stats.dual_fraction:>9.1f}% "
-                f"{100 * ev.dual_local.stats.dual_fraction:>10.1f}% "
-                f"{ev.dual_none.stats.replay_exceptions:>5}"
-                f"/{ev.dual_local.stats.replay_exceptions:<5} "
-                f"{100 * ev.single.stats.branch_accuracy:>6.1f}% "
-                f"{100 * ev.single.stats.dcache_miss_rate:>7.1f}%"
+                f"{row.benchmark:<10} (percentages only; no evaluation attached)"
             )
+            continue
+        lines.append(
+            f"{row.benchmark:<10} {ev.single.cycles:>10} {ev.dual_none.cycles:>10} "
+            f"{ev.dual_local.cycles:>10} "
+            f"{100 * ev.dual_none.stats.dual_fraction:>9.1f}% "
+            f"{100 * ev.dual_local.stats.dual_fraction:>10.1f}% "
+            f"{ev.dual_none.stats.replay_exceptions:>5}"
+            f"/{ev.dual_local.stats.replay_exceptions:<5} "
+            f"{100 * ev.single.stats.branch_accuracy:>6.1f}% "
+            f"{100 * ev.single.stats.dcache_miss_rate:>7.1f}%"
+        )
     return "\n".join(lines)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience
     result = run_table2()
-    print(format_table2(result, detailed=True))
+    print(format_table2(result))
 
 
 if __name__ == "__main__":  # pragma: no cover

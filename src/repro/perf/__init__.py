@@ -17,9 +17,10 @@ deterministically reproducible inputs.  This package exploits both axes:
   reassignment, design-space search);
 * :mod:`repro.perf.executor` — the ``SweepExecutor`` interface under
   the driver and the supervised process pool (per-task deadlines,
-  re-dispatch of lost tasks, circuit breaker);
-* :mod:`repro.perf.bench` — the ``repro bench`` harness that times
-  serial vs parallel vs cached sweeps and records ``BENCH_table2.json``.
+  re-dispatch of lost tasks, circuit breaker).
+
+Timing lives outside the package: ``benchmarks/e2e`` measures the
+sweeps end to end and layer by layer.
 
 Import the submodules directly: :mod:`repro.perf.cache` is imported by
 the experiment harness, while :mod:`repro.perf.parallel` imports the

@@ -26,7 +26,7 @@ PR 3 adds the *resilient sweep orchestration* layer on top:
 * :mod:`repro.robustness.chaos` — the seeded chaos soak harness behind
   ``repro chaos`` (also lazily imported);
 * :mod:`repro.robustness.atomicio` — atomic, fsync'd file writes shared
-  by the journal, bundles, reports, and the bench harness.
+  by the journal, bundles, checkpoints, and exported reports.
 """
 
 from repro.robustness.atomicio import (

@@ -1,8 +1,8 @@
 """Atomic, durable file writes shared by the resilience layer.
 
 Every artifact that a crashed or killed process must never leave
-half-written — ``BENCH_table2.json``, run-journal sidecars, replay
-bundles, chaos health reports, checkpoints — goes through one helper:
+half-written — run-journal sidecars, replay bundles, chaos health
+reports, stats exports, checkpoints — goes through one helper:
 write to a temporary file in the target directory, flush, ``fsync``,
 ``os.replace`` over the destination, then ``fsync`` the directory so the
 rename itself is durable.  A reader therefore sees either the old
@@ -60,35 +60,12 @@ def atomic_write_text(path: PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_json(
-    path: PathLike, obj: Any, indent: int = 2, sort_keys: bool = True
-) -> None:
-    """Durably replace ``path`` with ``obj`` rendered as JSON."""
-    atomic_write_text(
-        path, json.dumps(obj, indent=indent, sort_keys=sort_keys) + "\n"
-    )
-
-
-def append_jsonl_line(path: PathLike, obj: Any) -> None:
-    """Durably append one JSON object as a line to ``path``.
-
-    The append-side sibling of the write-replace helpers above, for
-    history files that grow one record per run (``BENCH_history.jsonl``,
-    span sinks): open in append mode, write the full line, flush,
-    ``fsync``.  A crash mid-append leaves at most one torn trailing line,
-    which every JSONL reader in this repo already tolerates.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(obj, sort_keys=True) + "\n"
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line)
-        fh.flush()
-        os.fsync(fh.fileno())
+def atomic_write_json(path: PathLike, obj: Any) -> None:
+    """Durably replace ``path`` with ``obj`` rendered as sorted JSON."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 __all__ = [
-    "append_jsonl_line",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",

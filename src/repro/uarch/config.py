@@ -175,8 +175,7 @@ class ProcessorConfig:
     #: per-uop event-driven model in :mod:`repro.uarch.processor`, kept as
     #: the oracle the batched kernel is proven bit-identical against.
     #: Honoured by :func:`repro.uarch.engine.make_processor` and everything
-    #: built on it (``simulate``, the experiment harness, the sweep CLI,
-    #: ``repro bench``).
+    #: built on it (``simulate``, the experiment harness, the sweep CLI).
     engine: str = "batched"
 
     @property

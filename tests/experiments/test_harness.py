@@ -91,7 +91,7 @@ class TestTable2Formatting:
         assert len(result.rows) == 1
         row = result.row("ora")
         assert row.paper_none == -5
-        text = format_table2(result, detailed=True)
+        text = format_table2(result)
         assert "ora" in text and "dual%" in text
 
     def test_unknown_row_lookup_raises(self):

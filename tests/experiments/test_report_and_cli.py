@@ -31,7 +31,40 @@ class TestReport:
         assert path.read_text() == report.markdown
 
 
+#: The fan-out flags only the Table 2 sweeps read, each with a valid value.
+EXECUTOR_FLAGS = {
+    "--executor": "distributed",
+    "--dist-bind": "0.0.0.0",
+    "--dist-port": "9100",
+    "--dist-min-hosts": "2",
+    "--dist-wait": "5",
+    "--task-timeout": "30",
+    "--redispatch-budget": "3",
+}
+#: (command, flag, value) for every flag a command used to accept and ignore.
+IGNORED_FLAGS = [
+    *((command, flag, value)
+      for command in ("ablations", "reassignment", "explore")
+      for flag, value in EXECUTOR_FLAGS.items()),
+    ("ablations", "--engine", "reference"),
+    ("reassignment", "--engine", "reference"),
+    ("explore", "--retries", "3"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
+    def test_commands_reject_flags_they_would_ignore(
+        self, command, flag, value, capsys
+    ):
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([command, flag, value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        # The Table 2 sweep still reads every one of them.
+        assert parser.parse_args(["table2", flag, value]).command == "table2"
+
     def test_parser_subcommands(self):
         parser = build_parser()
         for command in ("table2", "scenarios", "figure6", "cycle-time", "ablations", "report"):

@@ -112,12 +112,12 @@ class TestOptionalEvaluation:
             benchmark="hand", pct_none=-3.0, pct_local=1.5,
             paper_none=-14, paper_local=6,
         )
-        text = format_table2(Table2Result(rows=[row]), detailed=True)
+        text = format_table2(Table2Result(rows=[row]))
         assert "hand" in text
         assert "no evaluation attached" in text
 
     def test_detailed_format_still_prints_full_rows(self):
         result = run_table2(["ora"], EvaluationOptions(trace_length=1200))
-        text = format_table2(result, detailed=True)
+        text = format_table2(result)
         assert "no evaluation attached" not in text
         assert "1-clu cyc" in text

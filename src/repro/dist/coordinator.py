@@ -20,7 +20,7 @@ task deadline expired       the host is wedged (``host_stall``) or its
                             plus the connection is closed so a late
                             result cannot double-count
 idle lease expired          a silent host (no heartbeat inside
-                            ``lease_timeout``) — deregistered before it
+                            ``LEASE_TIMEOUT_S``) — deregistered before it
                             can be handed work
 loss/redispatch budget      the **degradation cascade**: remaining
 exhausted, or every host    tasks move to a local
@@ -65,25 +65,23 @@ from repro.dist.protocol import (
     encode_frame,
 )
 from repro.errors import ConfigError
-from repro.obs.heartbeat import TaskLiveness
-from repro.obs.metrics import MetricsRegistry, dist_metrics
-from repro.obs.spans import WallSpans
+from repro.obs.metrics import dist_metrics
 from repro.perf.executor import (
     MIN_TASK_TIMEOUT,
-    ExecutorDegradation,
+    POLL_TICK_S,
     SupervisedPoolExecutor,
     SweepExecutor,
     SweepTask,
+    TaskLiveness,
     TaskResult,
-    _ensure_worker_cache,
 )
 from repro.robustness.retry import RetryPolicy
 
 log = logging.getLogger("repro.dist.coordinator")
 
 #: Seconds an *idle* registered host may stay silent before its lease
-#: expires (workers heartbeat at half this by default).
-DEFAULT_LEASE_TIMEOUT = 10.0
+#: expires (workers heartbeat well inside this).
+LEASE_TIMEOUT_S = 10.0
 
 #: Seconds the coordinator waits for ``min_hosts`` registrations before
 #: dispatching (and before degrading, if nobody shows up at all).
@@ -92,9 +90,6 @@ DEFAULT_WAIT_FOR_HOSTS = 10.0
 #: Blocking-send timeout towards a worker; a host that cannot even
 #: drain a task frame inside this is treated as lost.
 SEND_TIMEOUT_S = 10.0
-
-#: Degradation cascade fallbacks selectable via ``fallback=``.
-FALLBACK_KINDS = ("supervised", "serial")
 
 
 def task_row_key(task: SweepTask) -> str:
@@ -159,6 +154,10 @@ class DistributedExecutor(SweepExecutor):
     reference, never by pickle.
     """
 
+    kind = "distributed"
+    metric_prefix = "dist"
+    breaker_reason = "host-circuit-breaker"
+
     def __init__(
         self,
         task_fn: Callable[[tuple], Any],
@@ -168,69 +167,31 @@ class DistributedExecutor(SweepExecutor):
         bind: str = "127.0.0.1",
         port: int = 0,
         task_timeout: float = MIN_TASK_TIMEOUT,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         redispatch_budget: int = 2,
         redispatch_policy: Optional[RetryPolicy] = None,
         min_hosts: int = 1,
         wait_for_hosts_s: float = DEFAULT_WAIT_FOR_HOSTS,
-        max_host_losses: Optional[int] = None,
-        fallback: str = "supervised",
-        metrics: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.monotonic,
-        poll_tick: float = 0.05,
         spans=None,
     ) -> None:
-        if task_timeout <= 0:
-            raise ConfigError(
-                "distributed executor needs task_timeout > 0 seconds",
-                task_timeout=task_timeout,
-            )
-        if lease_timeout <= 0:
-            raise ConfigError(
-                "distributed executor needs lease_timeout > 0 seconds",
-                lease_timeout=lease_timeout,
-            )
-        if redispatch_budget < 0:
-            raise ConfigError(
-                "redispatch budget must be >= 0",
-                redispatch_budget=redispatch_budget,
-            )
+        super().__init__(
+            task_fn,
+            jobs,
+            cache_dir,
+            task_timeout=task_timeout,
+            redispatch_budget=redispatch_budget,
+            redispatch_policy=redispatch_policy,
+            metrics=dist_metrics(),
+            spans=spans,
+        )
         if min_hosts < 1:
             raise ConfigError(
                 "distributed executor needs min_hosts >= 1",
                 min_hosts=min_hosts,
             )
-        if fallback not in FALLBACK_KINDS:
-            raise ConfigError(
-                f"unknown fallback {fallback!r}; valid: {FALLBACK_KINDS}",
-                fallback=fallback,
-            )
-        self._task_fn = task_fn
         self._task_fn_spec = f"{task_fn.__module__}:{task_fn.__qualname__}"
-        self._jobs = max(1, jobs)
-        self._cache_dir = cache_dir
-        self.task_timeout = task_timeout
-        self.lease_timeout = lease_timeout
-        self.redispatch_budget = redispatch_budget
-        self._policy = redispatch_policy or RetryPolicy(
-            max_attempts=redispatch_budget + 1,
-            base_delay=0.05,
-            max_delay=1.0,
-            seed=0,
-        )
         self.min_hosts = min_hosts
         self.wait_for_hosts_s = wait_for_hosts_s
-        self.max_host_losses = (
-            max_host_losses
-            if max_host_losses is not None
-            else 2 * min_hosts + 2
-        )
-        self.fallback = fallback
-        self.metrics = metrics if metrics is not None else dist_metrics()
-        self._clock = clock
-        self._tick = poll_tick
-        self._spans = spans
-        self._wall = WallSpans(spans, clock=clock)
+        self.max_host_losses = 2 * min_hosts + 2
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -251,22 +212,12 @@ class DistributedExecutor(SweepExecutor):
         self._hosts: dict[int, HostLease] = {}
         self._idle: list[int] = []
         self._host_seq = itertools.count(1)
-        self._open: dict[str, SweepTask] = {}
-        self._pending: collections.deque = collections.deque()
-        self._dispatches: dict[str, int] = {}
-        self._tickets: dict[int, str] = {}
-        self._ticket_seq = itertools.count(1)
         self._ready: list[TaskResult] = []
-        self._completed_fingerprints: set[str] = set()
-        self._task_liveness = TaskLiveness(clock=clock)  # keyed by ticket
-        self._host_liveness = TaskLiveness(clock=clock)  # keyed by host_id
-        self._events: list[ExecutorDegradation] = []
-        self._inner: Optional[SweepExecutor] = None
-        self._serial_mode = False
+        self._host_liveness = TaskLiveness()  # keyed by host_id
+        self._inner: Optional[SupervisedPoolExecutor] = None
         self._hosts_awaited = False
         self._closed = False
         self.host_losses = 0
-        self.redispatches = 0
 
     # -------------------------------------------------------------- address
     @property
@@ -280,56 +231,7 @@ class DistributedExecutor(SweepExecutor):
             lease.label for lease in self._hosts.values() if lease.registered
         ]
 
-    @property
-    def degradations(self) -> list[ExecutorDegradation]:
-        events = list(self._events)
-        if self._inner is not None and self._inner.degradation is not None:
-            events.append(self._inner.degradation)
-        return events
-
     # ------------------------------------------------------------ lifecycle
-    def submit(self, task: SweepTask) -> None:
-        token = task.token
-        if token in self._open:
-            raise ConfigError(
-                f"task {token!r} is already submitted; sweep tasks must be "
-                "unique per (benchmark, part)",
-                token=token,
-            )
-        self._open[token] = task
-        self._dispatches.setdefault(token, 0)
-        if self._inner is not None:
-            self._inner.submit(task)
-        else:
-            self._pending.append((token, 0.0))
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._open)
-
-    def poll(self, timeout: Optional[float] = None) -> list[TaskResult]:
-        results: list[TaskResult] = []
-        started = self._clock()
-        while not results and self.outstanding:
-            if self._inner is not None:
-                results.extend(self._poll_inner(timeout))
-            elif self._serial_mode:
-                results.extend(self._serial_step())
-            else:
-                self._await_hosts()
-                if self._inner is not None or self._serial_mode:
-                    continue
-                self._service(self._tick)
-                self._expire_host_leases()
-                self._expire_overdue_tasks()
-                self._dispatch_ready()
-                if self._ready:
-                    results.extend(self._ready)
-                    self._ready.clear()
-            if timeout is not None and self._clock() - started >= timeout:
-                break
-        return results
-
     def cancel(self) -> int:
         cancelled = len(self._open)
         self._open.clear()
@@ -347,6 +249,19 @@ class DistributedExecutor(SweepExecutor):
             self._inner.close()
         self._shutdown_network()
 
+    def _step(self, timeout: Optional[float]) -> list[TaskResult]:
+        if self._inner is not None:
+            return self._poll_inner(timeout)
+        self._await_hosts()
+        if self._inner is not None:
+            return []
+        self._service(POLL_TICK_S)
+        self._expire_host_leases()
+        self._expire_overdue_tasks()
+        self._dispatch_ready()
+        ready, self._ready = self._ready, []
+        return ready
+
     # ------------------------------------------------------- host registry
     def _await_hosts(self) -> None:
         """Block (servicing the socket) until enough hosts registered.
@@ -360,12 +275,12 @@ class DistributedExecutor(SweepExecutor):
         if self._hosts_awaited:
             return
         self._hosts_awaited = True
-        deadline = self._clock() + self.wait_for_hosts_s
+        deadline = time.monotonic() + self.wait_for_hosts_s
         while (
             len(self.registered_hosts) < self.min_hosts
-            and self._clock() < deadline
+            and time.monotonic() < deadline
         ):
-            self._service(self._tick)
+            self._service(POLL_TICK_S)
         registered = len(self.registered_hosts)
         if registered == 0:
             self._degrade(
@@ -401,7 +316,7 @@ class DistributedExecutor(SweepExecutor):
                 self._accept_connection()
             else:
                 self._read_host(key.data)
-            if self._inner is not None or self._serial_mode:
+            if self._inner is not None:
                 return
 
     def _read_host(self, lease: HostLease) -> None:
@@ -442,7 +357,7 @@ class DistributedExecutor(SweepExecutor):
             ):
                 return
             self._idle.append(lease.host_id)
-            self._host_liveness.start(lease.host_id, self.lease_timeout)
+            self._host_liveness.start(lease.host_id, LEASE_TIMEOUT_S)
             self._wall.begin(
                 ("host", lease.host_id), "host_lease", lease.name, pid=lease.pid
             )
@@ -473,14 +388,14 @@ class DistributedExecutor(SweepExecutor):
             return
         if lease.busy_ticket is not None:
             self._host_liveness.renew(
-                lease.host_id, self.task_timeout + self.lease_timeout
+                lease.host_id, self.task_timeout + LEASE_TIMEOUT_S
             )
         else:
-            self._host_liveness.renew(lease.host_id, self.lease_timeout)
+            self._host_liveness.renew(lease.host_id, LEASE_TIMEOUT_S)
 
     def _handle_result(self, lease: HostLease, payload: dict) -> None:
         ticket = payload.get("ticket")
-        self._task_liveness.finish(ticket)
+        self._liveness.finish(ticket)
         self._wall.end(
             ("ticket", ticket), ok=bool(payload.get("ok", False)), host=lease.label
         )
@@ -490,7 +405,7 @@ class DistributedExecutor(SweepExecutor):
                 self._idle.append(lease.host_id)
         self._renew_lease(lease)
         token = self._tickets.get(ticket)
-        if token is None or token not in self._open:
+        if token not in self._open:
             # Cross-host dedup: the row key already completed elsewhere
             # (a requeued task raced its original host, or a partition
             # healed late).  Content-fingerprint keys make this a safe
@@ -507,23 +422,14 @@ class DistributedExecutor(SweepExecutor):
                 token, lease.label, payload.get("error"),
             )
             self._requeue(
-                token, f"failed on host {lease.label}: {payload.get('error')}"
+                ticket, f"failed on host {lease.label}: {payload.get('error')}"
             )
             return
-        task = self._open.pop(token)
-        self._completed_fingerprints.add(task_fingerprint(task))
         lease.tasks_completed += 1
-        self.metrics.counter("dist_tasks_completed").inc()
         self.metrics.counter(
             "dist_host_tasks_completed", host=lease.label
         ).inc()
-        self._ready.append(
-            TaskResult(
-                task=task,
-                value=payload.get("value"),
-                dispatches=self._dispatches.get(token, 1),
-            )
-        )
+        self._ready.append(self._complete(ticket, payload.get("value")))
 
     def _send(self, lease: HostLease, frame: bytes) -> bool:
         try:
@@ -572,12 +478,10 @@ class DistributedExecutor(SweepExecutor):
         )
         log.warning("lost host %s: %s", lease.label, reason)
         if ticket is not None:
-            self._task_liveness.finish(ticket)
+            self._liveness.finish(ticket)
             self._wall.end(("ticket", ticket), ok=False, reason=reason)
-            token = self._tickets.get(ticket)
-            if token is not None and token in self._open:
-                self._requeue(token, reason)
-        if self._inner is not None or self._serial_mode:
+            self._requeue(ticket, reason)
+        if self._inner is not None:
             return
         if self.host_losses > self.max_host_losses:
             self._degrade(
@@ -605,14 +509,14 @@ class DistributedExecutor(SweepExecutor):
                 continue
             self._lose_host(
                 lease,
-                f"lease expired (silent for {self.lease_timeout:.1f}s)",
+                f"lease expired (silent for {LEASE_TIMEOUT_S:.1f}s)",
             )
             self.metrics.counter("dist_lease_expirations").inc()
-            if self._inner is not None or self._serial_mode:
+            if self._inner is not None:
                 return
 
     def _expire_overdue_tasks(self) -> None:
-        for ticket in self._task_liveness.overdue():
+        for ticket in self._liveness.overdue():
             lease = next(
                 (
                     entry
@@ -631,31 +535,22 @@ class DistributedExecutor(SweepExecutor):
                     "(wedged host or result lost in flight)",
                 )
             else:  # pragma: no cover - ticket raced its host's removal
-                self._task_liveness.finish(ticket)
-                token = self._tickets.get(ticket)
-                if token is not None and token in self._open:
-                    self._requeue(token, "task deadline expired")
-            if self._inner is not None or self._serial_mode:
+                self._liveness.finish(ticket)
+                self._requeue(ticket, "task deadline expired")
+            if self._inner is not None:
                 return
 
     # ------------------------------------------------------------- dispatch
     def _dispatch_ready(self) -> None:
-        now = self._clock()
-        waiting = []
-        while self._pending and self._idle:
-            token, not_before = self._pending.popleft()
-            if token not in self._open:
-                continue  # completed while queued (late duplicate race)
-            if not_before > now:
-                waiting.append((token, not_before))
-                continue
-            host_id = self._idle.pop()
-            lease = self._hosts[host_id]
-            task = self._open[token]
-            ticket = next(self._ticket_seq)
-            dispatch = self._dispatches[token]
-            self._tickets[ticket] = token
-            self._dispatches[token] = dispatch + 1
+        if self._inner is not None:
+            # Past the cascade's first step the fallback pool takes
+            # every ready task.
+            while (issued := self._next_ready()) is not None:
+                self._inner.submit(issued[1])
+            return
+        while self._idle and (issued := self._next_ready()) is not None:
+            ticket, task, dispatch = issued
+            lease = self._hosts[self._idle.pop()]
             body = {
                 "ticket": ticket,
                 "benchmark": task.benchmark,
@@ -672,126 +567,56 @@ class DistributedExecutor(SweepExecutor):
                 # reference (same discipline as ``fn`` — never pickle).
                 body["trace_id"] = self._spans.trace_id
                 body["span_fn"] = "repro.obs.spans:sweep_task_value_spans"
-            frame = encode_frame("task", body)
-            if not self._send(lease, frame):
-                # _lose_host already requeued nothing (task not yet
+            if not self._send(lease, encode_frame("task", body)):
+                # _lose_host requeued nothing (the task was not yet
                 # leased to it); put the token back for another host.
                 del self._tickets[ticket]
-                self._dispatches[token] = dispatch
-                if self._inner is not None or self._serial_mode:
+                self._dispatches[task.token] = dispatch
+                if self._inner is not None:
                     return  # the failed send tripped the cascade
-                self._pending.append((token, 0.0))
+                self._pending.append((task.token, 0.0))
                 continue
             lease.busy_ticket = ticket
-            self._task_liveness.start(ticket, self.task_timeout)
+            self._liveness.start(ticket, self.task_timeout)
             self._wall.begin(
                 ("ticket", ticket),
                 "dispatch",
-                token,
+                task.token,
                 host=lease.label,
                 dispatch=dispatch,
             )
             self._renew_lease(lease)
             self.metrics.counter("dist_dispatches").inc()
-        self._pending.extend(waiting)
-
-    def _requeue(self, token: str, reason: str) -> None:
-        used = self._dispatches.get(token, 0)
-        if used > self.redispatch_budget:
-            self._degrade(
-                reason="host-circuit-breaker",
-                detail=(
-                    f"task {token} lost {used} dispatch(es) ({reason}); "
-                    f"re-dispatch budget {self.redispatch_budget} exhausted"
-                ),
-            )
-            return
-        self.redispatches += 1
-        self.metrics.counter("dist_redispatches").inc()
-        self._wall.instant("requeue", token, reason=reason)
-        delay = 0.0
-        schedule = self._policy.schedule(token)
-        if schedule:
-            delay = schedule[min(max(used - 1, 0), len(schedule) - 1)]
-        self._pending.append((token, self._clock() + delay))
 
     # ----------------------------------------------------------- degrading
     def _degrade(self, reason: str, detail: str) -> None:
-        """Step down the cascade: remote hosts -> local fallback.
-
-        ``fallback="supervised"`` hands every open task to a local
-        :class:`SupervisedPoolExecutor` (whose own circuit breaker
-        provides the final serial step); ``fallback="serial"`` skips
-        straight to in-process execution.  Either way the cascade is
-        recorded as :class:`ExecutorDegradation` events and the sweep
-        finishes with bit-identical rows.
-        """
-        remaining = len(self._open)
-        event = ExecutorDegradation(
-            reason=reason,
-            detail=detail,
-            worker_deaths=self.host_losses,
-            redispatches=self.redispatches,
-            remaining_tasks=remaining,
-        )
-        self._events.append(event)
-        if self.degradation is None:
-            self.degradation = event
-        self.metrics.counter("dist_degradations").inc()
-        self._wall.instant(
-            "degradation", "distributed", detail=detail, remaining=remaining
-        )
-        log.warning("distributed executor degrading (%s): %s", reason, detail)
+        """Step down the cascade: remote hosts -> a local
+        :class:`SupervisedPoolExecutor`, whose own circuit breaker
+        provides the final serial step.  The fallback pool appends to
+        this executor's :attr:`degradations`, so the whole cascade reads
+        as one ordered list and the sweep finishes bit-identical."""
+        self._record_degradation(reason, detail, self.host_losses)
         self._shutdown_network()
-        self._pending.clear()
-        if self.fallback == "supervised" and remaining:
-            self._inner = SupervisedPoolExecutor(
-                self._task_fn,
-                self._jobs,
-                self._cache_dir,
-                task_timeout=self.task_timeout,
-                redispatch_budget=self.redispatch_budget,
-                redispatch_policy=self._policy,
-                spans=self._spans,
-            )
-            for task in self._open.values():
-                self._inner.submit(task)
-        else:
-            self._serial_mode = True
-            self._pending = collections.deque(
-                (token, 0.0) for token in self._open
-            )
-            _ensure_worker_cache(self._cache_dir)
+        self._liveness = TaskLiveness()  # no remote ticket is in flight
+        self._inner = SupervisedPoolExecutor(
+            self._task_fn,
+            self._jobs,
+            self._cache_dir,
+            task_timeout=self.task_timeout,
+            redispatch_budget=self.redispatch_budget,
+            redispatch_policy=self._policy,
+            spans=self._spans,
+        )
+        self._inner.degradations = self.degradations
+        self._pending = collections.deque((token, 0.0) for token in self._open)
+        self._dispatch_ready()
 
     def _poll_inner(self, timeout: Optional[float]) -> list[TaskResult]:
-        results = []
-        for result in self._inner.poll(timeout=timeout or self._tick):
+        results = self._inner.poll(timeout=timeout or POLL_TICK_S)
+        for result in results:
             self._open.pop(result.task.token, None)
-            self._completed_fingerprints.add(task_fingerprint(result.task))
             self.metrics.counter("dist_tasks_completed").inc()
-            results.append(result)
         return results
-
-    def _serial_step(self) -> list[TaskResult]:
-        while self._pending:
-            token, _ = self._pending.popleft()
-            task = self._open.pop(token, None)
-            if task is None:
-                continue
-            self._dispatches[token] = self._dispatches.get(token, 0) + 1
-            value = self._task_fn(task.payload())
-            self._completed_fingerprints.add(task_fingerprint(task))
-            self.metrics.counter("dist_tasks_completed").inc()
-            return [
-                TaskResult(
-                    task=task, value=value, dispatches=self._dispatches[token]
-                )
-            ]
-        if self._open:  # pragma: no cover - defensive: open without pending
-            token, task = next(iter(self._open.items()))
-            del self._open[token]
-            return [TaskResult(task=task, value=self._task_fn(task.payload()))]
-        return []
 
     # ------------------------------------------------------------- teardown
     def _shutdown_network(self) -> None:
@@ -816,9 +641,8 @@ class DistributedExecutor(SweepExecutor):
 
 
 __all__ = [
-    "DEFAULT_LEASE_TIMEOUT",
     "DEFAULT_WAIT_FOR_HOSTS",
-    "FALLBACK_KINDS",
+    "LEASE_TIMEOUT_S",
     "DistributedExecutor",
     "HostLease",
     "task_fingerprint",

@@ -1,6 +1,6 @@
 """The flight recorder: observability for the multicluster simulator.
 
-Four cooperating parts (see DESIGN.md Section 12):
+Eight cooperating parts (see DESIGN.md Sections 12 and 17):
 
 * :mod:`repro.obs.trace` — typed pipeline events behind pluggable
   memory/ring/JSONL sinks;

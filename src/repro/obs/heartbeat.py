@@ -134,68 +134,4 @@ class Heartbeat:
         return ", ".join(parts)
 
 
-class TaskLiveness:
-    """Per-task deadline tracker for supervised executors.
-
-    The :class:`Heartbeat` answers "how far along is the sweep?"; this
-    answers the supervisor's question, "which in-flight task has been
-    out too long?".  Each dispatched task is registered with
-    :meth:`start` under its own deadline; :meth:`overdue` names the
-    tasks whose deadline has passed (a wedged worker, or a result lost
-    in flight) so the supervisor can kill and re-dispatch.  Clock
-    injection keeps deadline tests deterministic.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self.clock = clock
-        #: key -> (started_at, deadline) for in-flight tasks.
-        self._inflight: dict = {}
-
-    def start(self, key, timeout_s: float) -> None:
-        """Track ``key`` with a deadline ``timeout_s`` from now."""
-        now = self.clock()
-        self._inflight[key] = (now, now + timeout_s)
-
-    def renew(self, key, timeout_s: float) -> None:
-        """Extend ``key``'s deadline to ``timeout_s`` from now, keeping
-        its original start time (age survives renewals).  Renewing a key
-        that is not in flight starts tracking it — the distributed
-        coordinator leans on this for heartbeat-renewed host leases."""
-        now = self.clock()
-        entry = self._inflight.get(key)
-        started = entry[0] if entry is not None else now
-        self._inflight[key] = (started, now + timeout_s)
-
-    def finish(self, key) -> Optional[float]:
-        """Stop tracking ``key``; returns its elapsed seconds (``None``
-        if it was not in flight — finishing twice is not an error)."""
-        entry = self._inflight.pop(key, None)
-        if entry is None:
-            return None
-        started, _ = entry
-        return max(0.0, self.clock() - started)
-
-    def overdue(self, now: Optional[float] = None) -> list:
-        """Keys whose deadline has passed, oldest first."""
-        if now is None:
-            now = self.clock()
-        late = [
-            (deadline, key)
-            for key, (_, deadline) in self._inflight.items()
-            if now >= deadline
-        ]
-        return [key for _, key in sorted(late, key=lambda item: item[0])]
-
-    def in_flight(self) -> int:
-        return len(self._inflight)
-
-    def oldest_age(self, now: Optional[float] = None) -> Optional[float]:
-        """Age in seconds of the longest-running in-flight task."""
-        if not self._inflight:
-            return None
-        if now is None:
-            now = self.clock()
-        return max(now - started for started, _ in self._inflight.values())
-
-
-__all__ = ["DEFAULT_INTERVAL_S", "Heartbeat", "TaskLiveness"]
+__all__ = ["DEFAULT_INTERVAL_S", "Heartbeat"]

@@ -15,12 +15,14 @@ a small interface:
   results in completion order and stay bit-identical to serial because
   every task is a pure function of its ``(benchmark, part, options)``
   payload — *which* worker computes it, or how many times, cannot
-  change the value.
+  change the value.  It is also the one task ledger (tickets,
+  re-dispatch budget and backoff, the serial step) behind both
+  executors; subclasses differ only in transport.
 * :class:`SupervisedPoolExecutor` — one supervised process per slot,
   each fed through its own inbox queue so the supervisor always knows
   which task is on which worker.  Per-task deadlines (sized from the
-  trace length by :func:`default_task_timeout`) are tracked with the
-  PR 4 heartbeat machinery (:class:`repro.obs.heartbeat.TaskLiveness`);
+  trace length by :func:`default_task_timeout`) are tracked by
+  :class:`TaskLiveness`;
   a dead pid or an expired deadline costs exactly one task, which is
   re-dispatched under a bounded budget using the deterministic seeded
   backoff of :mod:`repro.robustness.retry`.  When workers keep dying —
@@ -65,7 +67,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigError
-from repro.obs.heartbeat import TaskLiveness
 from repro.obs.metrics import MetricsRegistry, executor_metrics
 from repro.obs.spans import WallSpans
 from repro.perf.cache import ArtifactCache
@@ -75,6 +76,9 @@ log = logging.getLogger("repro.executor")
 
 #: Executor implementations selectable via ``EvaluationOptions.executor``.
 EXECUTOR_KINDS = ("supervised", "distributed")
+
+#: Seconds one pass of an executor's event loop waits for a result.
+POLL_TICK_S = 0.05
 
 #: Floor for derived per-task deadlines (seconds).
 MIN_TASK_TIMEOUT = 30.0
@@ -197,11 +201,13 @@ class TaskResult:
 class ExecutorDegradation:
     """``BenchmarkFailure``-style record of a tripped circuit breaker.
 
-    Emitted (never raised) when the supervised pool gives up on worker
-    processes and finishes the sweep serially in-process: the sweep
-    still completes with bit-identical rows, and this event — journaled
-    as a durable ``status: "event"`` record when a journal is attached —
-    is the audit trail that the parallel path was abandoned and why.
+    Emitted (never raised) when an executor gives up on its workers and
+    hands the open tasks to its next fallback — the supervised pool to
+    in-process serial, the distributed coordinator to a supervised
+    pool: the sweep still completes with bit-identical rows, and this
+    event — journaled as a durable ``status: "event"`` record when a
+    journal is attached — is the audit trail that the faster path was
+    abandoned and why.  ``remaining_tasks`` counts the tasks handed on.
     """
 
     reason: str
@@ -217,48 +223,174 @@ class ExecutorDegradation:
         return (
             f"executor degraded ({self.reason}): {self.detail} "
             f"[deaths={self.worker_deaths} redispatches={self.redispatches} "
-            f"serial_tasks={self.remaining_tasks}]"
+            f"remaining={self.remaining_tasks}]"
         )
 
 
-# --------------------------------------------------------------- interface
+# --------------------------------------------------------------- deadlines
+class TaskLiveness:
+    """Per-key deadline tracker for an executor's in-flight work.
+
+    Each dispatched task (and each of the distributed coordinator's
+    host leases) is registered with :meth:`start` under its own
+    deadline; :meth:`overdue` names the keys whose deadline has passed
+    — a wedged worker, a result lost in flight, a silent host — so the
+    executor can kill and re-dispatch.  Clock injection keeps deadline
+    tests deterministic.
+    """
+
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self.clock = clock
+        #: key -> (started_at, deadline) for in-flight work.
+        self._inflight: dict = {}
+
+    def start(self, key, timeout_s: float) -> None:
+        """Track ``key`` with a deadline ``timeout_s`` from now."""
+        now = self.clock()
+        self._inflight[key] = (now, now + timeout_s)
+
+    def renew(self, key, timeout_s: float) -> None:
+        """Extend ``key``'s deadline to ``timeout_s`` from now, keeping
+        its original start time (age survives renewals).  Renewing a key
+        that is not in flight starts tracking it — the distributed
+        coordinator leans on this for heartbeat-renewed host leases."""
+        now = self.clock()
+        entry = self._inflight.get(key)
+        started = entry[0] if entry is not None else now
+        self._inflight[key] = (started, now + timeout_s)
+
+    def finish(self, key) -> Optional[float]:
+        """Stop tracking ``key``; returns its elapsed seconds (``None``
+        if it was not in flight — finishing twice is not an error)."""
+        entry = self._inflight.pop(key, None)
+        if entry is None:
+            return None
+        started, _ = entry
+        return max(0.0, self.clock() - started)
+
+    def overdue(self, now: Optional[float] = None) -> list:
+        """Keys whose deadline has passed, oldest first."""
+        if now is None:
+            now = self.clock()
+        late = [
+            (deadline, key)
+            for key, (_, deadline) in self._inflight.items()
+            if now >= deadline
+        ]
+        return [key for _, key in sorted(late, key=lambda item: item[0])]
+
+
+# ------------------------------------------------------- interface + ledger
 class SweepExecutor:
-    """The sweep drivers' view of a fan-out engine.
+    """The sweep drivers' view of a fan-out engine, and its task ledger.
 
     Lifecycle: ``submit()`` any number of tasks, then ``poll()`` until
     :attr:`outstanding` reaches zero; ``cancel()`` on interrupt tears
     everything down and reports how many tasks never completed.  Usable
-    as a context manager (``close()`` on exit).  Implementations must
-    deliver each submitted task exactly once, in completion order.
+    as a context manager (``close()`` on exit).  Each submitted task is
+    delivered exactly once, in completion order.
+
+    This class owns everything that does not depend on how a task
+    reaches a worker: the open/pending/dispatch/ticket maps, duplicate
+    dropping, budgeted re-dispatch under the seeded backoff, the
+    in-process serial step and the degradation record.  A subclass is
+    only the transport: :meth:`_dispatch_ready`, one :meth:`_step` of
+    its event loop, :meth:`_degrade`, :meth:`cancel` and :meth:`close`.
     """
 
-    #: Set when the executor abandoned its workers mid-sweep (see
-    #: :class:`ExecutorDegradation`); ``None`` on the happy path.
-    degradation: Optional[ExecutorDegradation] = None
+    #: Names the executor in errors, logs and degradation wall spans.
+    kind: str
+    #: Prefix of the executor's counters (``executor_*`` / ``dist_*``).
+    metric_prefix: str
+    #: Degradation reason when a task exhausts its re-dispatch budget.
+    breaker_reason: str
+
+    def __init__(
+        self,
+        task_fn: Callable[[tuple], Any],
+        jobs: int,
+        cache_dir,
+        *,
+        task_timeout: float,
+        redispatch_budget: int,
+        redispatch_policy: Optional[RetryPolicy],
+        metrics: MetricsRegistry,
+        spans,
+    ) -> None:
+        if task_timeout <= 0:
+            raise ConfigError(
+                f"{self.kind} executor needs task_timeout > 0 seconds",
+                task_timeout=task_timeout,
+            )
+        if redispatch_budget < 0:
+            raise ConfigError(
+                "redispatch budget must be >= 0",
+                redispatch_budget=redispatch_budget,
+            )
+        self._task_fn = task_fn
+        self._jobs = max(1, jobs)
+        self._cache_dir = cache_dir
+        self.task_timeout = task_timeout
+        self.redispatch_budget = redispatch_budget
+        self._policy = redispatch_policy or RetryPolicy(
+            max_attempts=redispatch_budget + 1,
+            base_delay=0.05,
+            max_delay=1.0,
+            seed=0,
+        )
+        self.metrics = metrics
+        self._spans = spans
+        self._wall = WallSpans(spans)
+        self._liveness = TaskLiveness()  # keyed by ticket
+        self._open: dict[str, SweepTask] = {}  # token -> task (not completed)
+        self._pending: collections.deque = collections.deque()  # (token, not_before)
+        self._dispatches: dict[str, int] = {}  # token -> dispatch count
+        self._tickets: dict[int, str] = {}  # ticket -> token
+        self._ticket_seq = itertools.count(1)
+        self._serial = False
+        self.redispatches = 0
+        #: Every degradation this executor (and, for the distributed
+        #: coordinator, its fallback pool) recorded, in order.
+        self.degradations: list[ExecutorDegradation] = []
 
     @property
-    def degradations(self) -> list[ExecutorDegradation]:
-        """Every degradation event this executor recorded, in order.
+    def degradation(self) -> Optional[ExecutorDegradation]:
+        """The first degradation event; ``None`` on the happy path."""
+        return self.degradations[0] if self.degradations else None
 
-        Single-host executors degrade at most once; the distributed
-        coordinator's cascade can step down more than once (remote ->
-        supervised -> serial), so sweep drivers journal this list rather
-        than the single :attr:`degradation`.
-        """
-        return [self.degradation] if self.degradation is not None else []
-
+    # ---------------------------------------------------------- lifecycle
     def submit(self, task: SweepTask) -> None:
-        raise NotImplementedError
-
-    def poll(self, timeout: Optional[float] = None) -> list[TaskResult]:
-        """Completed tasks since the last call (blocks for at least one
-        unless ``timeout`` expires or nothing is outstanding)."""
-        raise NotImplementedError
+        token = task.token
+        if token in self._open:
+            raise ConfigError(
+                f"task {token!r} is already submitted; sweep tasks must be "
+                "unique per (benchmark, part)",
+                token=token,
+            )
+        self._open[token] = task
+        self._dispatches.setdefault(token, 0)
+        self._pending.append((token, 0.0))
+        if not self._serial:
+            self._dispatch_ready()
 
     @property
     def outstanding(self) -> int:
         """Submitted tasks that have not yet been returned by poll()."""
-        raise NotImplementedError
+        return len(self._open)
+
+    def poll(self, timeout: Optional[float] = None) -> list[TaskResult]:
+        """Completed tasks since the last call (blocks for at least one
+        unless ``timeout`` expires or nothing is outstanding)."""
+        results: list[TaskResult] = []
+        started = time.monotonic()
+        while not results and self._open:
+            if self._serial:
+                results.extend(self._serial_step())
+                continue
+            results.extend(self._step(timeout))
+            if timeout is not None and time.monotonic() - started >= timeout:
+                break
+        return results
 
     def cancel(self) -> int:
         """Tear down workers and drop pending work; returns the number
@@ -273,6 +405,108 @@ class SweepExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    # ------------------------------------------------------------ transport
+    def _step(self, timeout: Optional[float]) -> list[TaskResult]:
+        """One bounded pass of the transport's event loop."""
+        raise NotImplementedError
+
+    def _dispatch_ready(self) -> None:
+        """Hand ready tasks (see :meth:`_next_ready`) to idle workers."""
+        raise NotImplementedError
+
+    def _degrade(self, reason: str, detail: str) -> None:
+        """Abandon the workers and hand every open task to the fallback."""
+        raise NotImplementedError
+
+    # --------------------------------------------------------------- ledger
+    def _next_ready(self) -> Optional[tuple[int, SweepTask, int]]:
+        """Pop the next open task whose backoff has elapsed and issue it
+        a ticket: ``(ticket, task, dispatch)`` with ``dispatch`` the
+        0-based attempt index, or ``None`` when nothing is ready."""
+        now = time.monotonic()
+        for _ in range(len(self._pending)):
+            token, not_before = self._pending.popleft()
+            if token not in self._open:
+                continue  # completed by a late result while queued
+            if not_before > now:
+                self._pending.append((token, not_before))
+                continue
+            ticket = next(self._ticket_seq)
+            dispatch = self._dispatches[token]
+            self._tickets[ticket] = token
+            self._dispatches[token] = dispatch + 1
+            return ticket, self._open[token], dispatch
+        return None
+
+    def _complete(self, ticket: int, value: Any) -> Optional[TaskResult]:
+        """Close ``ticket``'s task with ``value``; ``None`` for a
+        duplicate (the task already completed under another ticket)."""
+        token = self._tickets.get(ticket)
+        if token not in self._open:
+            return None
+        task = self._open.pop(token)
+        self.metrics.counter(f"{self.metric_prefix}_tasks_completed").inc()
+        return TaskResult(
+            task=task, value=value, dispatches=self._dispatches.get(token, 1)
+        )
+
+    def _requeue(self, ticket: int, reason: str) -> None:
+        """Re-dispatch a lost ticket's still-open task after its seeded
+        backoff, or degrade once the task exhausted its budget."""
+        token = self._tickets.get(ticket)
+        if token not in self._open:
+            return
+        used = self._dispatches.get(token, 0)
+        if used > self.redispatch_budget:
+            self._degrade(
+                self.breaker_reason,
+                f"task {token} lost {used} dispatch(es) ({reason}); "
+                f"re-dispatch budget {self.redispatch_budget} exhausted",
+            )
+            return
+        self.redispatches += 1
+        self.metrics.counter(f"{self.metric_prefix}_redispatches").inc()
+        self._wall.instant("requeue", token, reason=reason)
+        delay = 0.0
+        schedule = self._policy.schedule(token)
+        if schedule:
+            delay = schedule[min(max(used - 1, 0), len(schedule) - 1)]
+        self._pending.append((token, time.monotonic() + delay))
+
+    def _record_degradation(self, reason: str, detail: str, losses: int) -> None:
+        remaining = len(self._open)
+        self.degradations.append(
+            ExecutorDegradation(
+                reason=reason,
+                detail=detail,
+                worker_deaths=losses,
+                redispatches=self.redispatches,
+                remaining_tasks=remaining,
+            )
+        )
+        self.metrics.counter(f"{self.metric_prefix}_degradations").inc()
+        self._wall.instant(
+            "degradation", self.kind, detail=detail, remaining=remaining
+        )
+        log.warning("%s executor degrading (%s): %s", self.kind, reason, detail)
+
+    def _go_serial(self) -> None:
+        """Run every open task in-process from now on.  Fault injection
+        lives in the workers, so the serial path always completes."""
+        self._serial = True
+        _ensure_worker_cache(self._cache_dir)
+
+    def _serial_step(self) -> list[TaskResult]:
+        # Submission order: _open is insertion-ordered.
+        token, task = next(iter(self._open.items()))
+        del self._open[token]
+        self._dispatches[token] += 1
+        value = self._task_fn(task.payload())
+        self.metrics.counter(f"{self.metric_prefix}_tasks_completed").inc()
+        return [
+            TaskResult(task=task, value=value, dispatches=self._dispatches[token])
+        ]
 
 
 # ------------------------------------------------------- supervised worker
@@ -320,6 +554,10 @@ class SupervisedPoolExecutor(SweepExecutor):
     serial.
     """
 
+    kind = "supervised"
+    metric_prefix = "executor"
+    breaker_reason = "circuit-breaker"
+
     def __init__(
         self,
         task_fn: Callable[[tuple], Any],
@@ -331,31 +569,17 @@ class SupervisedPoolExecutor(SweepExecutor):
         redispatch_policy: Optional[RetryPolicy] = None,
         max_worker_deaths: Optional[int] = None,
         worker_fault_plan=None,
-        metrics: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.monotonic,
-        poll_tick: float = 0.05,
         spans=None,
     ) -> None:
-        if task_timeout <= 0:
-            raise ConfigError(
-                "supervised executor needs task_timeout > 0 seconds",
-                task_timeout=task_timeout,
-            )
-        if redispatch_budget < 0:
-            raise ConfigError(
-                "redispatch budget must be >= 0",
-                redispatch_budget=redispatch_budget,
-            )
-        self._task_fn = task_fn
-        self._jobs = max(1, jobs)
-        self._cache_dir = cache_dir
-        self.task_timeout = task_timeout
-        self.redispatch_budget = redispatch_budget
-        self._policy = redispatch_policy or RetryPolicy(
-            max_attempts=redispatch_budget + 1,
-            base_delay=0.05,
-            max_delay=1.0,
-            seed=0,
+        super().__init__(
+            task_fn,
+            jobs,
+            cache_dir,
+            task_timeout=task_timeout,
+            redispatch_budget=redispatch_budget,
+            redispatch_policy=redispatch_policy,
+            metrics=executor_metrics(),
+            spans=spans,
         )
         self.max_worker_deaths = (
             max_worker_deaths
@@ -363,26 +587,14 @@ class SupervisedPoolExecutor(SweepExecutor):
             else 2 * self._jobs + 2
         )
         self._fault_plan = worker_fault_plan
-        self.metrics = metrics if metrics is not None else executor_metrics()
-        self._clock = clock
-        self._tick = poll_tick
-
         self._ctx = _mp_context()
         self._results = self._ctx.Queue()
         self._workers: dict[int, Any] = {}
         self._inboxes: dict[int, Any] = {}
         self._idle: list[int] = []
         self._busy: dict[int, int] = {}  # worker_id -> ticket
-        self._pending: collections.deque = collections.deque()  # (token, not_before)
-        self._open: dict[str, SweepTask] = {}  # token -> task (not completed)
-        self._dispatches: dict[str, int] = {}  # token -> dispatch count
-        self._tickets: dict[int, str] = {}  # ticket -> token
-        self._ticket_seq = itertools.count(1)
         self._worker_seq = itertools.count(1)
-        self._liveness = TaskLiveness(clock=clock)  # keyed by ticket
-        self._wall = WallSpans(spans, clock=clock)
         self.worker_deaths = 0
-        self.redispatches = 0
         self._closed = False
         for _ in range(self._jobs):
             self._spawn_worker()
@@ -426,16 +638,16 @@ class SupervisedPoolExecutor(SweepExecutor):
         if ticket is not None:
             self._liveness.finish(ticket)
             self._wall.end(ticket, ok=False, reason=reason)
-            token = self._tickets.get(ticket)
-            if token is not None and token in self._open:
-                self._requeue(token, reason)
-        if self.degradation is None and self.worker_deaths > self.max_worker_deaths:
+            self._requeue(ticket, reason)
+        if self._serial:
+            return  # the requeue exhausted the task's budget
+        if self.worker_deaths > self.max_worker_deaths:
             self._degrade(
+                self.breaker_reason,
                 f"{self.worker_deaths} worker deaths exceed the pool's "
-                f"budget of {self.max_worker_deaths}"
+                f"budget of {self.max_worker_deaths}",
             )
-            return
-        if self.degradation is None and not self._closed:
+        elif not self._closed:
             self._spawn_worker()
 
     def _shutdown_workers(self, kill: bool) -> None:
@@ -462,50 +674,6 @@ class SupervisedPoolExecutor(SweepExecutor):
         self._busy.clear()
 
     # ---------------------------------------------------------- lifecycle
-    def submit(self, task: SweepTask) -> None:
-        token = task.token
-        if token in self._open:
-            raise ConfigError(
-                f"task {token!r} is already submitted; sweep tasks must be "
-                "unique per (benchmark, part)",
-                token=token,
-            )
-        self._open[token] = task
-        self._dispatches.setdefault(token, 0)
-        self._pending.append((token, 0.0))
-        if self.degradation is None:
-            self._dispatch_ready()
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._open)
-
-    def poll(self, timeout: Optional[float] = None) -> list[TaskResult]:
-        results: list[TaskResult] = []
-        started = self._clock()
-        while not results and self.outstanding:
-            if self.degradation is not None:
-                results.extend(self._serial_step())
-                continue
-            self._reap_dead_workers()
-            if self.degradation is not None:
-                continue
-            self._expire_overdue()
-            if self.degradation is not None:
-                continue
-            self._dispatch_ready()
-            try:
-                item = self._results.get(timeout=self._tick)
-            except queue.Empty:
-                item = None
-            if item is not None:
-                accepted = self._accept(item)
-                if accepted is not None:
-                    results.append(accepted)
-            if timeout is not None and self._clock() - started >= timeout:
-                break
-        return results
-
     def cancel(self) -> int:
         cancelled = len(self._open)
         self._open.clear()
@@ -524,49 +692,40 @@ class SupervisedPoolExecutor(SweepExecutor):
         self._results.cancel_join_thread()
 
     # --------------------------------------------------------- internals
-    def _dispatch_ready(self) -> None:
-        now = self._clock()
-        waiting = []
-        while self._pending and self._idle:
-            token, not_before = self._pending.popleft()
-            if token not in self._open:
-                continue  # completed by a late result while queued
-            if not_before > now:
-                waiting.append((token, not_before))
-                continue
-            worker_id = self._idle.pop()
-            ticket = next(self._ticket_seq)
-            task = self._open[token]
-            dispatch = self._dispatches[token]  # 0-based attempt index
-            self._tickets[ticket] = token
-            self._busy[worker_id] = ticket
-            self._dispatches[token] = dispatch + 1
-            self._inboxes[worker_id].put(
-                (ticket, task.benchmark, task.part, task.payload(), dispatch)
-            )
-            self._liveness.start(ticket, self.task_timeout)
-            self._wall.begin(
-                ticket, "dispatch", token, worker=worker_id, dispatch=dispatch
-            )
-            self.metrics.counter("executor_dispatches").inc()
-        self._pending.extend(waiting)
-
-    def _accept(self, item) -> Optional[TaskResult]:
-        ticket, worker_id, value = item
+    def _step(self, timeout: Optional[float]) -> list[TaskResult]:
+        self._reap_dead_workers()
+        if self._serial:
+            return []
+        self._expire_overdue()
+        if self._serial:
+            return []
+        self._dispatch_ready()
+        try:
+            ticket, worker_id, value = self._results.get(timeout=POLL_TICK_S)
+        except queue.Empty:
+            return []
         self._liveness.finish(ticket)
         self._wall.end(ticket, ok=True)
         if self._busy.get(worker_id) == ticket:
             del self._busy[worker_id]
             if worker_id in self._workers:
                 self._idle.append(worker_id)
-        token = self._tickets.get(ticket)
-        if token is None or token not in self._open:
-            return None  # duplicate: the task already completed elsewhere
-        task = self._open.pop(token)
-        self.metrics.counter("executor_tasks_completed").inc()
-        return TaskResult(
-            task=task, value=value, dispatches=self._dispatches.get(token, 1)
-        )
+        result = self._complete(ticket, value)
+        return [result] if result is not None else []
+
+    def _dispatch_ready(self) -> None:
+        while self._idle and (issued := self._next_ready()) is not None:
+            ticket, task, dispatch = issued
+            worker_id = self._idle.pop()
+            self._busy[worker_id] = ticket
+            self._inboxes[worker_id].put(
+                (ticket, task.benchmark, task.part, task.payload(), dispatch)
+            )
+            self._liveness.start(ticket, self.task_timeout)
+            self._wall.begin(
+                ticket, "dispatch", task.token, worker=worker_id, dispatch=dispatch
+            )
+            self.metrics.counter("executor_dispatches").inc()
 
     def _reap_dead_workers(self) -> None:
         for worker_id, process in list(self._workers.items()):
@@ -575,7 +734,7 @@ class SupervisedPoolExecutor(SweepExecutor):
             self._remove_worker(
                 worker_id, reason=f"process exited (code {process.exitcode})"
             )
-            if self.degradation is not None:
+            if self._serial:
                 return
 
     def _expire_overdue(self) -> None:
@@ -595,77 +754,13 @@ class SupervisedPoolExecutor(SweepExecutor):
                 )
             else:  # pragma: no cover - ticket raced its worker's removal
                 self._liveness.finish(ticket)
-            if self.degradation is not None:
+            if self._serial:
                 return
 
-    def _requeue(self, token: str, reason: str) -> None:
-        used = self._dispatches.get(token, 0)
-        if used > self.redispatch_budget:
-            self._degrade(
-                f"task {token} lost {used} dispatch(es) ({reason}); "
-                f"re-dispatch budget {self.redispatch_budget} exhausted"
-            )
-            return
-        self.redispatches += 1
-        self.metrics.counter("executor_redispatches").inc()
-        self._wall.instant("requeue", token, reason=reason)
-        delay = 0.0
-        schedule = self._policy.schedule(token)
-        if schedule:
-            delay = schedule[min(max(used - 1, 0), len(schedule) - 1)]
-        self._pending.append((token, self._clock() + delay))
-
-    def _degrade(self, detail: str) -> None:
-        remaining = len(self._open)
+    def _degrade(self, reason: str, detail: str) -> None:
         self._shutdown_workers(kill=True)
-        self.degradation = ExecutorDegradation(
-            reason="circuit-breaker",
-            detail=detail,
-            worker_deaths=self.worker_deaths,
-            redispatches=self.redispatches,
-            remaining_tasks=remaining,
-        )
-        self.metrics.counter("executor_degradations").inc()
-        self._wall.instant(
-            "degradation", "supervised", detail=detail, remaining=remaining
-        )
-        log.warning(
-            "supervised pool degrading to serial execution: %s", detail
-        )
-        # Every open task — queued or formerly in flight — now runs
-        # serially in-process; fault injection lives in the workers, so
-        # the degraded path always completes.
-        self._pending = collections.deque(
-            (token, 0.0) for token in self._open
-        )
-        _ensure_worker_cache(self._cache_dir)
-
-    def _serial_step(self) -> list[TaskResult]:
-        while self._pending:
-            token, _ = self._pending.popleft()
-            task = self._open.pop(token, None)
-            if task is None:
-                continue
-            self._dispatches[token] = self._dispatches.get(token, 0) + 1
-            value = self._task_fn(task.payload())
-            self.metrics.counter("executor_tasks_completed").inc()
-            return [
-                TaskResult(
-                    task=task, value=value, dispatches=self._dispatches[token]
-                )
-            ]
-        if self._open:  # pragma: no cover - defensive: open without pending
-            token, task = next(iter(self._open.items()))
-            del self._open[token]
-            self._dispatches[token] = self._dispatches.get(token, 0) + 1
-            return [
-                TaskResult(
-                    task=task,
-                    value=self._task_fn(task.payload()),
-                    dispatches=self._dispatches[token],
-                )
-            ]
-        return []
+        self._record_degradation(reason, detail, self.worker_deaths)
+        self._go_serial()
 
 
 def make_sweep_executor(
@@ -749,11 +844,13 @@ __all__ = [
     "BATCHED_ENGINE_TIMEOUT_FACTOR",
     "EXECUTOR_KINDS",
     "MIN_TASK_TIMEOUT",
+    "POLL_TICK_S",
     "SELF_CHECK_TIMEOUT_FACTOR",
     "ExecutorDegradation",
     "SupervisedPoolExecutor",
     "SweepExecutor",
     "SweepTask",
+    "TaskLiveness",
     "TaskResult",
     "default_task_timeout",
     "make_sweep_executor",

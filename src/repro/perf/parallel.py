@@ -195,20 +195,17 @@ def fan_out(
         except BaseException:
             sweep.cancel()
             raise
-    # The distributed coordinator's cascade can degrade more than once
-    # (remote -> supervised -> serial); journal every step.
     for degradation in sweep.degradations:
         log.warning("%s", degradation.format())
         if journal is not None:
             journal.record_event("executor_degradation", degradation.as_dict())
-    registry = getattr(sweep, "metrics", None)
-    if spans is not None and registry is not None:
+    if spans is not None:
         # Final executor metrics — including the distributed
         # coordinator's per-host labeled series — land next to the span
         # files, in the Prometheus text format 'repro stats' also speaks.
         from repro.obs.export import write_prometheus
 
-        write_prometheus(spans.run_dir / "executor-metrics.prom", registry)
+        write_prometheus(spans.run_dir / "executor-metrics.prom", sweep.metrics)
 
 
 # ------------------------------------------------------------ generic points

@@ -2,7 +2,7 @@
 
 import logging
 
-from repro.obs.heartbeat import Heartbeat, TaskLiveness
+from repro.obs.heartbeat import Heartbeat
 from repro.perf.cache import ArtifactCache
 from repro.robustness.journal import RunJournal
 
@@ -93,66 +93,6 @@ class TestSnapshot:
         hb = Heartbeat(0, interval_s=None, clock=clock)
         payload = hb.snapshot()
         assert hb._format(payload)  # percent math guards total == 0
-
-
-class TestTaskLiveness:
-    def test_overdue_names_expired_tasks_oldest_first(self):
-        clock = FakeClock()
-        liveness = TaskLiveness(clock=clock)
-        liveness.start("late", timeout_s=5.0)
-        clock.now += 1
-        liveness.start("later", timeout_s=5.0)
-        liveness.start("fine", timeout_s=60.0)
-        assert liveness.overdue() == []
-        clock.now += 6
-        assert liveness.overdue() == ["late", "later"]
-
-    def test_finish_returns_elapsed_and_clears(self):
-        clock = FakeClock()
-        liveness = TaskLiveness(clock=clock)
-        liveness.start("t", timeout_s=10.0)
-        clock.now += 3
-        assert liveness.finish("t") == 3.0
-        assert liveness.in_flight() == 0
-        assert liveness.overdue() == []
-
-    def test_double_finish_is_not_an_error(self):
-        liveness = TaskLiveness(clock=FakeClock())
-        liveness.start("t", timeout_s=10.0)
-        assert liveness.finish("t") == 0.0
-        assert liveness.finish("t") is None
-
-    def test_oldest_age_tracks_longest_runner(self):
-        clock = FakeClock()
-        liveness = TaskLiveness(clock=clock)
-        assert liveness.oldest_age() is None
-        liveness.start("a", timeout_s=100.0)
-        clock.now += 2
-        liveness.start("b", timeout_s=100.0)
-        clock.now += 3
-        assert liveness.oldest_age() == 5.0
-
-    def test_renew_extends_deadline_keeping_start(self):
-        # The lease path: renewals push the deadline out but the entry's
-        # age keeps counting from the original start.
-        clock = FakeClock()
-        liveness = TaskLiveness(clock=clock)
-        liveness.start("lease", timeout_s=5.0)
-        clock.now += 4
-        liveness.renew("lease", timeout_s=5.0)
-        clock.now += 4
-        assert liveness.overdue() == []  # deadline moved to t=9
-        assert liveness.oldest_age() == 8.0  # age still from t=0
-        clock.now += 2
-        assert liveness.overdue() == ["lease"]
-
-    def test_renew_starts_missing_entry(self):
-        clock = FakeClock()
-        liveness = TaskLiveness(clock=clock)
-        liveness.renew("new", timeout_s=5.0)
-        assert liveness.in_flight() == 1
-        clock.now += 6
-        assert liveness.overdue() == ["new"]
 
     def test_cache_and_journal_fields(self, tmp_path):
         cache = ArtifactCache()

@@ -9,6 +9,7 @@ from repro.perf.executor import (
     MIN_TASK_TIMEOUT,
     SupervisedPoolExecutor,
     SweepTask,
+    TaskLiveness,
     default_task_timeout,
     make_sweep_executor,
 )
@@ -42,6 +43,32 @@ def _tasks(n=3):
     return [SweepTask(benchmark=f"b{i}", part="single") for i in range(n)]
 
 
+def _supervised(**kwargs):
+    return SupervisedPoolExecutor(_echo_task, jobs=1, **kwargs)
+
+
+def _distributed(**kwargs):
+    # With no worker attached it never dispatches: submit and cancel run
+    # on the shared ledger alone.
+    from repro.dist.coordinator import DistributedExecutor
+
+    return DistributedExecutor(_echo_task, jobs=1, **kwargs)
+
+
+#: The task-ledger contract holds for every executor.
+each_executor = pytest.mark.parametrize(
+    "make", [_supervised, _distributed], ids=["supervised", "distributed"]
+)
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
 class TestSupervisedHappyPath:
     def test_delivers_every_task_once(self):
         sup = SupervisedPoolExecutor(_echo_task, jobs=2, task_timeout=30.0)
@@ -50,12 +77,6 @@ class TestSupervisedHappyPath:
         assert all(r.dispatches == 1 for r in results.values())
         assert sup.degradation is None
         assert sup.worker_deaths == 0
-
-    def test_duplicate_submit_rejected(self):
-        with SupervisedPoolExecutor(_echo_task, jobs=1, task_timeout=30.0) as sup:
-            sup.submit(SweepTask(benchmark="x", part="single"))
-            with pytest.raises(ConfigError, match="already submitted"):
-                sup.submit(SweepTask(benchmark="x", part="single"))
 
     def test_metrics_count_dispatches(self):
         sup = SupervisedPoolExecutor(_echo_task, jobs=2, task_timeout=30.0)
@@ -253,14 +274,6 @@ class TestFactoryAndTimeouts:
             fast.close()
             slow.close()
 
-    def test_invalid_supervised_knobs_rejected(self):
-        with pytest.raises(ConfigError, match="task_timeout"):
-            SupervisedPoolExecutor(_echo_task, jobs=1, task_timeout=0.0)
-        with pytest.raises(ConfigError, match="budget"):
-            SupervisedPoolExecutor(
-                _echo_task, jobs=1, task_timeout=1.0, redispatch_budget=-1
-            )
-
     def test_factory_builds_both_kinds(self):
         from repro.dist.coordinator import DistributedExecutor
 
@@ -283,14 +296,80 @@ class TestFactoryAndTimeouts:
         assert "supervised" in message and "distributed" in message
 
 
+class TestLedgerContract:
+    @each_executor
+    def test_duplicate_submit_rejected(self, make):
+        with make(task_timeout=30.0) as executor:
+            executor.submit(SweepTask(benchmark="x", part="single"))
+            with pytest.raises(ConfigError, match="already submitted"):
+                executor.submit(SweepTask(benchmark="x", part="single"))
+
+    @each_executor
+    def test_invalid_ledger_knobs_rejected(self, make):
+        with pytest.raises(ConfigError, match="task_timeout"):
+            make(task_timeout=0.0)
+        with pytest.raises(ConfigError, match="budget"):
+            make(task_timeout=1.0, redispatch_budget=-1)
+
+
+class TestTaskLiveness:
+    def test_overdue_names_expired_tasks_oldest_first(self):
+        clock = FakeClock()
+        liveness = TaskLiveness(clock=clock)
+        liveness.start("late", timeout_s=5.0)
+        clock.now += 1
+        liveness.start("later", timeout_s=5.0)
+        liveness.start("fine", timeout_s=60.0)
+        assert liveness.overdue() == []
+        clock.now += 6
+        assert liveness.overdue() == ["late", "later"]
+
+    def test_finish_returns_elapsed_and_clears(self):
+        clock = FakeClock()
+        liveness = TaskLiveness(clock=clock)
+        liveness.start("t", timeout_s=10.0)
+        clock.now += 3
+        assert liveness.finish("t") == 3.0
+        assert liveness.overdue() == []
+
+    def test_double_finish_is_not_an_error(self):
+        liveness = TaskLiveness(clock=FakeClock())
+        liveness.start("t", timeout_s=10.0)
+        assert liveness.finish("t") == 0.0
+        assert liveness.finish("t") is None
+
+    def test_renew_extends_deadline_keeping_start(self):
+        # The lease path: renewals push the deadline out but the entry's
+        # age keeps counting from the original start.
+        clock = FakeClock()
+        liveness = TaskLiveness(clock=clock)
+        liveness.start("lease", timeout_s=5.0)
+        clock.now += 4
+        liveness.renew("lease", timeout_s=5.0)
+        clock.now += 4
+        assert liveness.overdue() == []  # deadline moved to t=9
+        clock.now += 2
+        assert liveness.overdue() == ["lease"]
+        assert liveness.finish("lease") == 10.0  # age still from t=0
+
+    def test_renew_starts_missing_entry(self):
+        clock = FakeClock()
+        liveness = TaskLiveness(clock=clock)
+        liveness.renew("new", timeout_s=5.0)
+        clock.now += 6
+        assert liveness.overdue() == ["new"]
+
+
 class TestCancel:
-    def test_cancel_reports_undelivered_tasks(self):
-        sup = SupervisedPoolExecutor(_echo_task, jobs=1, task_timeout=30.0)
+    @each_executor
+    def test_cancel_reports_undelivered_tasks(self, make):
+        executor = make(task_timeout=30.0)
         for task in _tasks(3):
-            sup.submit(task)
-        cancelled = sup.cancel()
+            executor.submit(task)
+        cancelled = executor.cancel()
         assert cancelled == 3
-        assert sup.outstanding == 0
+        assert executor.outstanding == 0
+        executor.close()
 
     def test_cancel_while_requeued_task_is_inside_backoff(self):
         # ISSUE 8 satellite: a worker_kill puts its task into the

@@ -7,7 +7,7 @@ host name, and then lives in a lease loop —
 1. receive a task frame ``(ticket, benchmark, part, payload)``;
 2. execute it through the same task runner the single-host pool uses
    (``fn`` names a module-level callable, e.g.
-   ``repro.perf.parallel:_sweep_task``), against this process's private
+   ``repro.experiments.table2:_sweep_task``), against this process's private
    :class:`~repro.perf.cache.ArtifactCache`;
 3. journal the finished row into its **own shard**
    (``journal-<host>.jsonl`` under ``--run-dir``) so the row is durable

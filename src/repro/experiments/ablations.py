@@ -74,10 +74,10 @@ def _point_from(label: str, ev: BenchmarkEvaluation) -> AblationPoint:
 
 def _evaluate_point(item, cache) -> BenchmarkEvaluation:
     """One ablation point's three runs (worker-safe)."""
-    from repro.experiments.harness import evaluate_workload_retrying
+    from repro.experiments.harness import evaluate_workload
 
     workload, options = item
-    return evaluate_workload_retrying(workload, options, cache=cache)
+    return evaluate_workload(workload, options, cache=cache)
 
 
 def _points(

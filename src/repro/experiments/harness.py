@@ -16,9 +16,11 @@ The methodology mirrors Section 4:
 
 The three simulations of step 4 are the sweep engine's unit of work: an
 evaluation decomposes into :data:`PARTS`, each independently computable
-from ``(workload, options)`` — that is what lets ``--jobs N`` fan a
-benchmark's runs out to worker processes while staying bit-identical to
-the serial path (every stage is seeded and deterministic).
+from ``(workload, options)`` — that is what lets a Table 2 sweep run a
+benchmark's parts as separate tasks, in-process or across ``--jobs N``
+worker processes, with bit-identical results (every stage is seeded
+and deterministic).  :func:`evaluate_part_with_retry` is that task's
+body; :func:`evaluate_workload` runs all three in one call.
 
 Compilation results and generated traces flow through a content-keyed
 :class:`~repro.perf.cache.ArtifactCache` (an ephemeral in-memory one when
@@ -376,36 +378,26 @@ def evaluate_workload(
     options: Optional[EvaluationOptions] = None,
     cache: Optional[ArtifactCache] = None,
 ) -> BenchmarkEvaluation:
-    """Run the full Section 4 methodology on one workload."""
-    options = options or EvaluationOptions()
-    if cache is None:
-        cache = options.cache if options.cache is not None else ArtifactCache()
-    outcomes = [
-        evaluate_workload_part(workload, part, options, cache) for part in PARTS
-    ]
-    return assemble_evaluation(workload.name, outcomes)
+    """Run the full Section 4 methodology on one workload.
 
-
-def evaluate_workload_retrying(
-    workload: Workload,
-    options: Optional[EvaluationOptions] = None,
-    cache: Optional[ArtifactCache] = None,
-) -> BenchmarkEvaluation:
-    """:func:`evaluate_workload` under the options' retry policy.
-
-    Errors still propagate (the caller owns degradation); each part just
-    gets its deterministic attempt budget first.  With no policy set this
-    is exactly :func:`evaluate_workload`.
+    Each part gets the options' retry policy first; an error that
+    survives it propagates (the caller owns degradation).  With no
+    policy every part runs once at ``options.fault_attempt``, which is
+    how :func:`~repro.robustness.replay.replay` re-runs a recorded
+    attempt.
     """
     options = options or EvaluationOptions()
-    if options.retry is None:
-        return evaluate_workload(workload, options, cache=cache)
     if cache is None:
         cache = options.cache if options.cache is not None else ArtifactCache()
-    outcomes = [
-        evaluate_part_with_retry(workload, part, options, cache)[0]
-        for part in PARTS
-    ]
+    if options.retry is None:
+        outcomes = [
+            evaluate_workload_part(workload, part, options, cache) for part in PARTS
+        ]
+    else:
+        outcomes = [
+            evaluate_part_with_retry(workload, part, options, cache)[0]
+            for part in PARTS
+        ]
     return assemble_evaluation(workload.name, outcomes)
 
 
@@ -418,13 +410,13 @@ def evaluate_part_with_retry(
 ) -> tuple[PartOutcome, int]:
     """One evaluation part under the options' retry policy.
 
-    The unit of resilience shared by the serial and ``--jobs`` sweep
-    paths: attempt ``k`` re-runs the part with ``fault_attempt=k`` (so a
-    transient fault spec can clear), the backoff schedule is keyed by
-    ``benchmark:part`` (deterministic per seed), and the error that
-    finally escapes carries ``part``, ``attempts``, and
-    ``failure_class`` in its context for degradation records and replay
-    bundles.
+    The unit of resilience of every Table 2 task and of
+    :func:`evaluate_workload`: attempt ``k`` re-runs the part with
+    ``fault_attempt=k`` (so a transient fault spec can clear), the
+    backoff schedule is keyed by ``benchmark:part`` (deterministic per
+    seed), and the error that finally escapes carries ``part``,
+    ``attempts``, and ``failure_class`` in its context for degradation
+    records and replay bundles.
 
     Returns ``(outcome, attempts_used)``.
     """
@@ -446,33 +438,3 @@ def evaluate_part_with_retry(
         raise
     return result.value, len(result.attempts)
 
-
-def evaluate_workload_resilient(
-    workload: Workload,
-    options: Optional[EvaluationOptions] = None,
-    cache: Optional[ArtifactCache] = None,
-) -> tuple[Optional[BenchmarkEvaluation], Optional[BenchmarkFailure], int]:
-    """Full evaluation with per-part retries and graceful degradation.
-
-    Returns ``(evaluation, failure, total_attempts)`` where exactly one
-    of ``evaluation`` / ``failure`` is set.  With ``options.retry`` unset
-    this is behaviourally identical to :func:`evaluate_workload` wrapped
-    in the sweep's ``except ReproError`` degradation."""
-    options = options or EvaluationOptions()
-    if cache is None:
-        cache = options.cache if options.cache is not None else ArtifactCache()
-    outcomes: list[PartOutcome] = []
-    total_attempts = 0
-    for part in PARTS:
-        try:
-            outcome, attempts = evaluate_part_with_retry(
-                workload, part, options, cache
-            )
-        except ReproError as error:
-            total_attempts += error.context.get("attempts", 1)
-            return None, BenchmarkFailure.from_error(workload.name, error), (
-                total_attempts
-            )
-        outcomes.append(outcome)
-        total_attempts += attempts
-    return assemble_evaluation(workload.name, outcomes), None, total_attempts

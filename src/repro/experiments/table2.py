@@ -25,15 +25,18 @@ from __future__ import annotations
 import difflib
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
 from repro.errors import ConfigError, ReproError
 from repro.experiments.harness import (
+    PARTS,
     BenchmarkEvaluation,
     BenchmarkFailure,
     EvaluationOptions,
-    evaluate_workload_resilient,
+    assemble_evaluation,
+    evaluate_part_with_retry,
 )
+from repro.perf.cache import ArtifactCache
 from repro.workloads.spec92 import PAPER_TABLE2, SPEC92
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,6 +127,39 @@ def _journal_failure(
     )
 
 
+def _run_part(name: str, part: str, options: EvaluationOptions, cache, build):
+    """One (benchmark, part) task: ``(name, part, outcome, attempts, elapsed_s)``.
+
+    ``build()`` returns the benchmark's workload.  The options' retry
+    policy runs here, and a :class:`ReproError` that survives it (or
+    the build) becomes a :class:`BenchmarkFailure` here too, so its
+    context (failing part, attempts, failure class) survives a worker's
+    trip home.
+    """
+    start = time.perf_counter()
+    try:
+        outcome, attempts = evaluate_part_with_retry(build(), part, options, cache)
+    except ReproError as error:
+        outcome = BenchmarkFailure.from_error(name, error)
+        attempts = error.context.get("attempts", 1)
+    return name, part, outcome, attempts, time.perf_counter() - start
+
+
+def _sweep_task(item: tuple[str, str, EvaluationOptions]):
+    """One (benchmark, part) task in a worker process.
+
+    :func:`_run_part`'s value plus the worker cache's counter delta,
+    which the parent merges into ``options.cache.stats``.
+    """
+    from repro.perf.executor import _worker_cache
+
+    name, part, options = item
+    cache = _worker_cache()
+    baseline = cache.stats.snapshot()
+    value = _run_part(name, part, options, cache, SPEC92[name])
+    return value + (cache.stats.delta(baseline),)
+
+
 def run_table2(
     benchmarks: Optional[Iterable[str]] = None,
     options: Optional[EvaluationOptions] = None,
@@ -139,10 +175,14 @@ def run_table2(
     ``options.retry`` grants transient failures a deterministic attempt
     budget first.
 
-    ``options.jobs != 1`` fans the benchmarks and their three runs each
-    out to worker processes (``0`` = one per core) with bit-identical
-    row values and the same degradation contract; ``options.cache``
-    reuses compile/trace artifacts across runs.
+    Every row is three tasks, one per part, run through
+    :func:`~repro.perf.parallel.fan_out`: in-process for
+    ``options.jobs == 1``, otherwise across worker processes (``0`` =
+    one per core) with bit-identical rows.  A benchmark with a failed
+    part yields one failure — the first failed part in
+    :data:`~repro.experiments.harness.PARTS` order — and no row; its
+    attempts count the parts up to and including that one.
+    ``options.cache`` reuses compile/trace artifacts across runs.
 
     ``journal`` (a :class:`~repro.robustness.journal.RunJournal` or a
     run-directory path — the CLI's ``--resume``) makes the sweep
@@ -152,6 +192,9 @@ def run_table2(
     bit-identical to an uninterrupted run), and unrecoverable failures
     leave a replay bundle under the run directory.
     """
+    from repro.perf.executor import SweepTask
+    from repro.perf.parallel import fan_out
+
     names = list(benchmarks) if benchmarks is not None else sorted(SPEC92)
     for name in names:
         if name not in SPEC92:
@@ -172,7 +215,7 @@ def run_table2(
 
         spans.trace_id = sweep_trace_id("table2", options, names)
 
-    def emit_row_spans(name: str, outcome, attempts: int) -> None:
+    def emit_row_spans(outcome, attempts: int) -> None:
         if spans is None:
             return
         from repro.obs.spans import evaluation_spans, failure_spans
@@ -200,15 +243,20 @@ def run_table2(
                 evaluations[name] = reused
                 # Reused rows re-emit their (content-derived) spans so a
                 # resumed run's span set matches an uninterrupted one.
-                emit_row_spans(name, reused, entry.attempts)
+                emit_row_spans(reused, entry.attempts)
             else:
                 pending.append(name)
 
-    # Bundles and journal records describe the self-contained serial
-    # run shape, whichever path computed the row.
-    sealed_options = replace(
+    # Every task runs on a self-contained serial option set, which is
+    # also what bundles and journal records describe: the parent-side
+    # cache object is not shipped (each worker holds its own tier),
+    # worker-fault injection must not recurse into the task itself, and
+    # the span writer's open file stays in the parent (distributed
+    # workers journal their own span shards via the task frame).
+    sealed = replace(
         options, jobs=1, cache=None, worker_fault_plan=None, spans=None
     )
+    tasks = [SweepTask(name, part, sealed) for name in pending for part in PARTS]
 
     # Parallel sweeps report progress (rows done, ETA, cache hit rate,
     # journal lag) and journal each heartbeat durably.
@@ -225,53 +273,93 @@ def run_table2(
             spans=spans,
         )
 
-    def record(name: str, outcome, attempts: int, elapsed_s: float = 0.0) -> None:
-        if isinstance(outcome, BenchmarkFailure):
-            failures_by_name[name] = outcome
+    # In-process tasks arrive in benchmark order, so one row is open at
+    # a time: its workload is built once, its parts share one cache
+    # (``options.cache``, else a fresh one dropped with the row), and
+    # the parts after a failed one are skipped — the row is decided.
+    open_row: dict[str, Any] = {}
+
+    def run_serial(task: SweepTask):
+        name = task.benchmark
+        if open_row.get("name") != name:
+            open_row.clear()
+            open_row["name"] = name
+            open_row["cache"] = (
+                options.cache if options.cache is not None else ArtifactCache()
+            )
+        if "failure" in open_row:
+            return name, task.part, open_row["failure"], 0, 0.0, None
+
+        def build():
+            if "workload" not in open_row:
+                open_row["workload"] = SPEC92[name]()
+            return open_row["workload"]
+
+        value = _run_part(name, task.part, sealed, open_row["cache"], build)
+        if isinstance(value[2], BenchmarkFailure):
+            open_row["failure"] = value[2]
+        # Counted in options.cache already: no delta to merge.
+        return value + (None,)
+
+    parts_home: dict[tuple[str, str], tuple] = {}
+
+    def deliver(task: SweepTask, value: tuple) -> None:
+        name, part, outcome, attempts, elapsed_s, stats_delta = value
+        if stats_delta is not None and options.cache is not None:
+            options.cache.stats.merge(stats_delta)
+        parts_home[(name, part)] = (outcome, attempts, elapsed_s)
+        if not all((name, p) in parts_home for p in PARTS):
+            return
+        outcomes, attempts, seconds = zip(*(parts_home.pop((name, p)) for p in PARTS))
+        failed = [i for i, o in enumerate(outcomes) if isinstance(o, BenchmarkFailure)]
+        # A failed row is its first failed part; its attempts stop there.
+        row_attempts = sum(attempts[: failed[0] + 1] if failed else attempts)
+        elapsed_s = sum(seconds)
+        if failed:
+            failure = outcomes[failed[0]]
+            failures_by_name[name] = failure
             if journal is not None:
                 _journal_failure(
-                    journal, fingerprint, name, outcome, sealed_options, elapsed_s
+                    journal, fingerprint, name, failure, sealed, elapsed_s
                 )
+            emit_row_spans(failure, row_attempts)
         else:
-            evaluations[name] = outcome
+            evaluation = assemble_evaluation(name, outcomes)
+            evaluations[name] = evaluation
             if journal is not None:
                 journal.record_completed(
                     f"table2:{name}",
                     fingerprint,
-                    artifact_value=outcome,
-                    attempts=attempts,
+                    artifact_value=evaluation,
+                    attempts=row_attempts,
                     elapsed_s=elapsed_s,
                 )
-        emit_row_spans(name, outcome, attempts)
+            emit_row_spans(evaluation, row_attempts)
         if heartbeat is not None:
             heartbeat.note(name)
 
-    if options.jobs != 1 and len(pending) > 0:
-        from repro.perf.parallel import run_table2_parallel
-
-        run_table2_parallel(pending, options, on_benchmark=record, journal=journal)
-    else:
-        for name in pending:
-            row_start = time.perf_counter()
-            try:
-                workload = SPEC92[name]()
-            except ReproError as error:
-                record(
-                    name,
-                    BenchmarkFailure.from_error(name, error),
-                    1,
-                    time.perf_counter() - row_start,
-                )
-                continue
-            evaluation, failure, attempts = evaluate_workload_resilient(
-                workload, options
-            )
-            record(
-                name,
-                failure if failure is not None else evaluation,
-                attempts,
-                time.perf_counter() - row_start,
-            )
+    fan_out(
+        _sweep_task,
+        tasks,
+        options.jobs,
+        deliver,
+        run_serial=run_serial,
+        kind=options.executor,
+        journal=journal,
+        cache_dir=options.cache.cache_dir if options.cache is not None else None,
+        trace_length=options.trace_length,
+        task_timeout=options.task_timeout,
+        redispatch_budget=options.redispatch_budget,
+        worker_fault_plan=options.worker_fault_plan,
+        seed=options.trace_seed,
+        self_check=options.self_check,
+        engine=options.engine,
+        dist_bind=options.dist_host,
+        dist_port=options.dist_port,
+        dist_min_hosts=options.dist_min_hosts,
+        dist_wait_s=options.dist_wait_s,
+        spans=spans,
+    )
 
     if spans is not None:
         from repro.obs.spans import evaluation_spans, sweep_span

@@ -315,7 +315,7 @@ def sweep_span(
 
 
 def sweep_task_value_spans(trace_id: str, value: Any) -> list[Span]:
-    """Deterministic spans from one ``perf.parallel._sweep_task`` value.
+    """Deterministic spans from one ``experiments.table2._sweep_task`` value.
 
     This is the builder distributed workers resolve by name (the task
     frame's ``span_fn``) to journal spans host-side before each result
@@ -323,7 +323,7 @@ def sweep_task_value_spans(trace_id: str, value: Any) -> list[Span]:
     the assembled evaluation, and the merge dedupes them by span_id.
     """
     try:
-        benchmark, part, outcome, _attempts, _stats = value
+        benchmark, part, outcome, *_ = value
     except (TypeError, ValueError):
         return []
     sim = getattr(outcome, "sim", None)

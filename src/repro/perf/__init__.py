@@ -23,6 +23,6 @@ Timing lives outside the package: ``benchmarks/e2e`` measures the
 sweeps end to end and layer by layer.
 
 Import the submodules directly: :mod:`repro.perf.cache` is imported by
-the experiment harness, while :mod:`repro.perf.parallel` imports the
-harness, so this package re-exports nothing.
+the experiment harness, which must not pull in the executors, so this
+package re-exports nothing.
 """

@@ -1,4 +1,4 @@
-"""The sweep driver behind every ``--jobs N`` sweep.
+"""The sweep driver behind every sweep, serial or ``--jobs N``.
 
 The Section 4 methodology is independent across benchmarks *and* across
 the three runs per benchmark, so a Table 2 sweep decomposes into
@@ -16,24 +16,26 @@ and otherwise submits every task to a
 :func:`~repro.perf.executor.make_sweep_executor` and hands each result
 to the caller the moment it arrives.  :func:`run_sweep` layers the
 generic points on top (journal reuse and per-point journaling);
-:func:`run_table2_parallel` keeps only the Table 2 specifics.
+:func:`~repro.experiments.table2.run_table2` hands it its per-part
+tasks for every ``jobs`` value and assembles rows itself, because a
+row spans three tasks.
 
 Design notes:
 
 * Workers fork from the parent (where the platform supports it), so
   monkeypatched registries and installed fault injection are inherited —
   the robustness matrix exercises the workers exactly like the serial
-  path.  A Table 2 worker raising :class:`~repro.errors.ReproError`
-  degrades into the same :class:`~repro.experiments.harness.BenchmarkFailure`
-  record a serial sweep produces; a generic point that raises sends the
-  error home as a value and the parent re-raises it, same type and
+  path.  A Table 2 task raising :class:`~repro.errors.ReproError`
+  degrades into a :class:`~repro.experiments.harness.BenchmarkFailure`
+  inside the task, wherever it runs; a generic point that raises sends
+  the error home as a value and the parent re-raises it, same type and
   message, without counting a lost worker.
 * Each worker process holds one process-local
   :class:`~repro.perf.cache.ArtifactCache` (optionally disk-backed, in
   which case all workers share the directory); Table 2 ships per-task
   counter deltas back and merges them into the parent's cache stats so
   hit/miss accounting stays correct under ``--jobs N``.
-* Retries run *inside* the worker (``options.retry``), so a transient
+* Retries run *inside* the task (``options.retry``), so a transient
   fault costs one worker a re-run, not the whole sweep a round-trip.
 * SIGINT/SIGTERM to the parent stops the sweep: every result that came
   home before the signal has been delivered to the caller (and
@@ -58,17 +60,9 @@ import os
 import signal
 import traceback
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
-from repro.errors import ConfigError, ReproError, SweepInterrupted
-from repro.experiments.harness import (
-    PARTS,
-    BenchmarkFailure,
-    EvaluationOptions,
-    assemble_evaluation,
-    evaluate_part_with_retry,
-)
+from repro.errors import ConfigError, SweepInterrupted
 from repro.perf.cache import ArtifactCache
 from repro.perf.executor import SweepTask, _worker_cache, make_sweep_executor
 
@@ -310,104 +304,3 @@ def run_sweep(
     )
     return values
 
-
-# ------------------------------------------------------------- Table 2 sweep
-def _sweep_task(item: tuple[str, str, EvaluationOptions]):
-    """One (benchmark, part) unit, run inside a worker process.
-
-    Returns ``(name, part, outcome_or_failure, attempts, stats_delta)``;
-    the options' retry policy runs here, in the worker, and a
-    :class:`ReproError` that survives it becomes a
-    :class:`BenchmarkFailure` here too, so context (including the
-    failing part, attempt count, and failure class) survives the trip
-    home.
-    """
-    from repro.workloads.spec92 import SPEC92
-
-    name, part, options = item
-    cache = _worker_cache()
-    baseline = cache.stats.snapshot()
-    try:
-        workload = SPEC92[name]()
-        outcome, attempts = evaluate_part_with_retry(workload, part, options, cache)
-        return name, part, outcome, attempts, cache.stats.delta(baseline)
-    except ReproError as error:
-        failure = BenchmarkFailure.from_error(name, error)
-        attempts = error.context.get("attempts", 1)
-        return name, part, failure, attempts, cache.stats.delta(baseline)
-
-
-def run_table2_parallel(
-    names: Sequence[str],
-    options: EvaluationOptions,
-    on_benchmark: Callable[[str, Any, int], None],
-    journal=None,
-) -> None:
-    """Fan a Table 2 sweep out to worker processes through :func:`fan_out`.
-
-    ``on_benchmark(name, evaluation_or_failure, attempts)`` fires in the
-    parent the moment a benchmark's three parts are all home, with
-    exactly the row or failure record the serial sweep would produce: a
-    benchmark with any failed part yields one failure (the first in part
-    order — the order the serial methodology hits them) and no row.  It
-    is the journaling hook: each finished row is durable before the
-    sweep moves on, so a kill at any point loses at most in-flight
-    benchmarks.
-    Interrupts raise :class:`~repro.errors.SweepInterrupted` after every
-    finished row has been delivered.  ``journal`` receives the
-    executor's degradation events (the rows are still bit-identical;
-    the event is the audit trail).
-    """
-    cache = options.cache
-    # Workers get a self-contained serial option set; the parent-side
-    # cache object is not shipped (each worker holds its own tier),
-    # worker-fault injection must not recurse into the task itself, and
-    # the span writer's open file stays in the parent (distributed
-    # workers journal their own span shards via the task frame).
-    worker_options = replace(
-        options, jobs=1, cache=None, worker_fault_plan=None, spans=None
-    )
-    tasks = [
-        SweepTask(benchmark=name, part=part, options=worker_options)
-        for name in names
-        for part in PARTS
-    ]
-
-    results: dict[tuple[str, str], Any] = {}
-    attempts_by_name: dict[str, int] = {name: 0 for name in names}
-
-    def deliver(task: SweepTask, value: Any) -> None:
-        name, part, payload, attempts, stats_delta = value
-        results[(name, part)] = payload
-        attempts_by_name[name] += attempts
-        if cache is not None:
-            cache.stats.merge(stats_delta)
-        if not all((name, p) in results for p in PARTS):
-            return
-        payloads = [results[(name, p)] for p in PARTS]
-        failed = [p for p in payloads if isinstance(p, BenchmarkFailure)]
-        outcome = failed[0] if failed else assemble_evaluation(name, payloads)
-        on_benchmark(name, outcome, attempts_by_name[name])
-
-    fan_out(
-        _sweep_task,
-        tasks,
-        options.jobs,
-        deliver,
-        run_serial=lambda task: _sweep_task(task.payload()),
-        kind=options.executor,
-        journal=journal,
-        cache_dir=cache.cache_dir if cache is not None else None,
-        trace_length=options.trace_length,
-        task_timeout=options.task_timeout,
-        redispatch_budget=options.redispatch_budget,
-        worker_fault_plan=options.worker_fault_plan,
-        seed=options.trace_seed,
-        self_check=options.self_check,
-        engine=options.engine,
-        dist_bind=options.dist_host,
-        dist_port=options.dist_port,
-        dist_min_hosts=options.dist_min_hosts,
-        dist_wait_s=options.dist_wait_s,
-        spans=options.spans,
-    )

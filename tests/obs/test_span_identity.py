@@ -21,6 +21,7 @@ import repro
 from repro.experiments.harness import EvaluationOptions
 from repro.experiments.table2 import run_table2
 from repro.obs.spans import SpanWriter, load_run_spans, split_spans
+from repro.robustness.faultinject import FaultPlan, FaultSpec
 from repro.robustness.journal import RunJournal, merge_journals
 
 TL = 600
@@ -78,6 +79,50 @@ class TestJobsIdentity:
     def test_pool_sweep_is_bit_identical(self, tmp_path, serial_reference):
         _run(tmp_path, jobs=2)
         assert _merged_spans(tmp_path, tmp_path / "merged") == serial_reference
+
+
+#: Fails ora's first part for good (a permanent TraceError).
+ORA_SINGLE_FAULT = FaultPlan(
+    specs=(
+        FaultSpec(
+            kind="truncate_trace", benchmark="ora", part="single", at_cycle=50
+        ),
+    )
+)
+
+
+class TestFailedRowIdentity:
+    @pytest.fixture(scope="class")
+    def serial_failed(self, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("serial-failed")
+        _run(run_dir, fault_plan=ORA_SINGLE_FAULT)
+        return _failed_row(run_dir)
+
+    def test_jobs_degraded_row_matches_serial(self, tmp_path, serial_failed):
+        """A row is decided by its first failed part: its attempts count
+        the parts up to that one, however many later parts a path ran."""
+        result = _run(tmp_path, jobs=2, fault_plan=ORA_SINGLE_FAULT)
+        assert [f.benchmark for f in result.failures] == ["ora"]
+        attempts, spans = _failed_row(tmp_path)
+        assert attempts == serial_failed[0]
+        assert spans == serial_failed[1]
+
+    def test_serial_failed_task_span_counts_one_attempt(self, serial_failed):
+        attempts, spans = serial_failed
+        failed = [
+            span for span in map(json.loads, spans.decode().splitlines())
+            if span["attrs"].get("failed")
+        ]
+        assert attempts == 1
+        assert [(s["name"], s["attrs"]["attempts"]) for s in failed] == [("ora", 1)]
+
+
+def _failed_row(run_dir):
+    """``(journaled attempts of table2:ora, canonical merged span bytes)``."""
+    with RunJournal(run_dir) as journal:
+        entry = journal.entry("table2:ora")
+    assert entry is not None and entry.status == "failed"
+    return entry.attempts, _merged_spans(run_dir, run_dir / "merged")
 
 
 class TestKillResumeIdentity:

@@ -168,7 +168,7 @@ class TestGenericSweepErrors:
         def sabotaged(workload, options, cache=None):
             raise ConfigError("sabotaged ablation point", field="dual_assignment")
 
-        monkeypatch.setattr(harness, "evaluate_workload_retrying", sabotaged)
+        monkeypatch.setattr(harness, "evaluate_workload", sabotaged)
         with pytest.raises(ConfigError) as info:
             ablations.run_assignment_ablation(
                 spec92.SPEC92["ora"], trace_length=400, jobs=2

@@ -24,22 +24,23 @@ class TestSweepInterrupted:
 
     def test_mid_sweep_interrupt_converts_and_preserves_rows(self, tmp_path):
         # A KeyboardInterrupt surfacing anywhere inside the fan-out loop
-        # (here: from the per-benchmark completion callback) must shut
-        # the pool down and come back typed, with earlier rows delivered.
-        from repro.perf.parallel import run_table2_parallel
-
+        # (here: from the journal append of the first finished row) must
+        # shut the pool down and come back typed, with that row delivered.
         delivered = []
 
-        def boom(name, outcome, attempts):
-            delivered.append(name)
-            raise KeyboardInterrupt("simulated Ctrl-C")
+        class CtrlCJournal(RunJournal):
+            def record_completed(self, key, *args, **kwargs):
+                entry = super().record_completed(key, *args, **kwargs)
+                delivered.append(key)
+                raise KeyboardInterrupt("simulated Ctrl-C")
 
-        with pytest.raises(SweepInterrupted) as info:
-            run_table2_parallel(
-                ["compress", "ora", "tomcatv"],
-                EvaluationOptions(trace_length=400, jobs=2),
-                on_benchmark=boom,
-            )
+        with CtrlCJournal(tmp_path / "run") as journal:
+            with pytest.raises(SweepInterrupted) as info:
+                run_table2(
+                    ["compress", "ora", "tomcatv"],
+                    EvaluationOptions(trace_length=400, jobs=2),
+                    journal=journal,
+                )
         assert delivered  # at least one row landed before the interrupt
         assert info.value.context["cause"] == "KeyboardInterrupt"
         assert info.value.exit_code == 130

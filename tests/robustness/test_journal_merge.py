@@ -76,7 +76,7 @@ class TestAcceptanceSplitMergeResume:
             raise AssertionError("merged row was recomputed")
 
         monkeypatch.setattr(
-            "repro.experiments.table2.evaluate_workload_resilient", explode
+            "repro.experiments.harness.evaluate_workload_part", explode
         )
         with RunJournal(merged_dir) as journal:
             resumed = run_table2(BENCHMARKS, options(), journal=journal)

@@ -63,6 +63,11 @@ class TestResumeBitIdentity:
         run_dir = tmp_path / "run"
         with RunJournal(run_dir) as journal:
             run_table2(BENCHMARKS[:2], options(jobs=2), journal=journal)
+            # A --jobs row journals its parts' in-task seconds, as a
+            # serial row does.
+            rows = [e for e in journal.entries() if e.key.startswith("table2:")]
+            assert len(rows) == 2
+            assert all(e.elapsed_s > 0 for e in rows)
         with RunJournal(run_dir) as journal:
             resumed = run_table2(BENCHMARKS, options(jobs=2), journal=journal)
         assert rows_as_tuples(resumed) == reference
@@ -87,7 +92,7 @@ class TestResumeBitIdentity:
             raise AssertionError("journaled row was recomputed")
 
         monkeypatch.setattr(
-            "repro.experiments.table2.evaluate_workload_resilient", explode
+            "repro.experiments.harness.evaluate_workload_part", explode
         )
         with RunJournal(run_dir) as journal:
             resumed = run_table2(BENCHMARKS, options(), journal=journal)

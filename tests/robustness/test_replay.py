@@ -5,10 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.harness import (
-    EvaluationOptions,
-    evaluate_workload_resilient,
-)
+from repro.experiments.harness import EvaluationOptions
+from repro.experiments.table2 import run_table2
 from repro.robustness.faultinject import FaultPlan, FaultSpec
 from repro.robustness.replay import (
     BUNDLE_SCHEMA,
@@ -17,7 +15,6 @@ from repro.robustness.replay import (
     replay,
     replay_file,
 )
-from repro.workloads.spec92 import SPEC92
 
 TRACE_LENGTH = 600
 
@@ -42,10 +39,7 @@ def failing_options():
 
 @pytest.fixture(scope="module")
 def failure():
-    _, failure, _ = evaluate_workload_resilient(
-        SPEC92["compress"](), failing_options()
-    )
-    assert failure is not None
+    [failure] = run_table2(["compress"], failing_options()).failures
     return failure
 
 

@@ -57,6 +57,11 @@ from repro.workloads.tracegen import TraceGenerator
 #: in the order the serial methodology performs (and validates) them.
 PARTS = ("single", "dual_none", "dual_local")
 
+#: The binary each part runs: ``single`` and ``dual_none`` the native
+#: one, ``dual_local`` the locally rescheduled one.  Parts that share a
+#: binary share its compile and trace through the artifact cache.
+PART_BINARY = {"single": "native", "dual_none": "native", "dual_local": "local"}
+
 
 def speedup_percent(single_cycles: int, dual_cycles: int) -> float:
     """Table 2's metric: ``100 - 100 * C_dual / C_single``.
@@ -303,7 +308,7 @@ def evaluate_workload_part(
     dual_assignment = options.dual_assignment or RegisterAssignment.even_odd_dual()
     partitioner = options.partitioner or LocalScheduler()
 
-    if part == "dual_local":
+    if PART_BINARY[part] == "local":
         compiled, ckey = _compile_cached(
             workload, dual_assignment, partitioner, options, cache
         )

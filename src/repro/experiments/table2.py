@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
 from repro.errors import ConfigError, ReproError
 from repro.experiments.harness import (
+    PART_BINARY,
     PARTS,
     BenchmarkEvaluation,
     BenchmarkFailure,
@@ -256,7 +257,11 @@ def run_table2(
     sealed = replace(
         options, jobs=1, cache=None, worker_fault_plan=None, spans=None
     )
-    tasks = [SweepTask(name, part, sealed) for name in pending for part in PARTS]
+    tasks = [
+        SweepTask(name, part, sealed, affinity=f"{name}:{PART_BINARY[part]}")
+        for name in pending
+        for part in PARTS
+    ]
 
     # Parallel sweeps report progress (rows done, ETA, cache hit rate,
     # journal lag) and journal each heartbeat durably.

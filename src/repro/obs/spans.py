@@ -216,11 +216,9 @@ def part_task_spans(
 
 def _part_costs(evaluation: Any, part: str) -> tuple[int, int, int]:
     """(compile, tracegen, simulate) virtual costs of one part."""
-    # single and dual_none simulate the native binary; dual_local the
-    # locally rescheduled one — mirrors assemble_evaluation.
-    compiled = (
-        evaluation.local_compile if part == "dual_local" else evaluation.native_compile
-    )
+    from repro.experiments.harness import PART_BINARY
+
+    compiled = getattr(evaluation, f"{PART_BINARY[part]}_compile")
     sim = getattr(evaluation, part)
     return (
         compiled.machine.instruction_count(),

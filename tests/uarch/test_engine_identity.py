@@ -488,3 +488,62 @@ class TestNClusterIdentity:
             assert stats.replay_exceptions > 0
             results[engine] = (outcome.sim.cycles, fingerprint(stats.as_dict()))
         assert results["batched"] == results["reference"]
+
+
+# --------------------------------------------------------------------------
+# Retire and squash break the entry<->uop and master<->slave reference
+# cycles (DESIGN.md §14), so a finished run leaves no instruction for the
+# cyclic garbage collector.
+
+import functools
+import gc
+
+from repro.uarch.processor import simulate
+from repro.uarch.uop import RobEntry, Uop
+
+#: Four 2-wide clusters: every multi-helper (N-slave) distribution shape.
+FOUR_CLUSTERS = DesignPoint(clusters=(ClusterSpec(2, 32, 64),) * 4)
+
+#: name -> (benchmark, config, register assignment)
+RELEASE_MACHINES = {
+    "single": ("compress", single_cluster_config(), RegisterAssignment.single_cluster()),
+    "dual-even-odd": (
+        "compress",
+        dual_cluster_config(),
+        RegisterAssignment.even_odd_dual(),
+    ),
+    "gym-4-cluster": ("compress", FOUR_CLUSTERS.to_config(), FOUR_CLUSTERS.assignment()),
+    "replay-heavy": ("ora", REPLAY_HEAVY.to_config(), REPLAY_HEAVY.assignment()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _native_trace(benchmark: str):
+    workload = SPEC92[benchmark]()
+    native = compile_program(workload.program, RegisterAssignment.single_cluster())
+    return TraceGenerator(
+        native.machine, workload.streams, workload.behaviors, seed=7
+    ).generate(TRACE_LENGTH)
+
+
+def _live_instructions() -> int:
+    return sum(isinstance(obj, (Uop, RobEntry)) for obj in gc.get_objects())
+
+
+class TestRefcountRelease:
+    @pytest.mark.parametrize("machine", sorted(RELEASE_MACHINES))
+    def test_no_instruction_outlives_its_run(self, machine):
+        benchmark, config, assignment = RELEASE_MACHINES[machine]
+        trace = _native_trace(benchmark)
+        gc.collect()
+        before = _live_instructions()
+        gc.disable()
+        try:
+            result = simulate(trace, config, assignment)
+            left = _live_instructions() - before
+        finally:
+            gc.enable()
+        assert result.stats.instructions == len(trace)
+        if machine == "replay-heavy":
+            assert result.stats.replay_exceptions > 0
+        assert left == 0

@@ -448,6 +448,7 @@ class DistributedExecutor(SweepExecutor):
         self._hosts.pop(lease.host_id, None)
         if lease.host_id in self._idle:
             self._idle.remove(lease.host_id)
+        self._release_affinity(lease.host_id)
         self._host_liveness.finish(lease.host_id)
         try:
             self._selector.unregister(lease.sock)
@@ -543,12 +544,16 @@ class DistributedExecutor(SweepExecutor):
     # ------------------------------------------------------------- dispatch
     def _dispatch_ready(self) -> None:
         if self._inner is not None:
-            # Past the cascade's first step the fallback pool takes
-            # every ready task.
-            while (issued := self._next_ready()) is not None:
+            # Past the cascade's first step the fallback pool is the
+            # only worker: it takes every ready task (and does its own
+            # affinity dispatch).
+            while (issued := self._next_ready(self._inner, 1)) is not None:
                 self._inner.submit(issued[1])
             return
-        while self._idle and (issued := self._next_ready()) is not None:
+        while self._idle:
+            issued = self._next_ready(self._idle[-1], len(self.registered_hosts))
+            if issued is None:
+                return
             ticket, task, dispatch = issued
             lease = self._hosts[self._idle.pop()]
             body = {

@@ -370,6 +370,8 @@ def executor_metrics() -> MetricsRegistry:
                 "tasks handed to a worker (re-dispatches included)")
     reg.counter("executor_redispatches",
                 "tasks re-dispatched after a lost worker or expired deadline")
+    reg.counter("executor_affinity_steals",
+                "tasks taken while another worker held their affinity key")
     reg.counter("executor_tasks_completed", "task results delivered to the sweep")
     reg.counter("executor_worker_deaths",
                 "worker processes that died or were killed by the supervisor")
@@ -400,6 +402,8 @@ def dist_metrics() -> MetricsRegistry:
                 "tasks handed to a host (re-dispatches included)")
     reg.counter("dist_redispatches",
                 "tasks re-dispatched after a lost host or expired deadline")
+    reg.counter("dist_affinity_steals",
+                "tasks taken while another host held their affinity key")
     reg.counter("dist_tasks_completed",
                 "task results delivered to the sweep")
     reg.counter("dist_duplicate_results",

@@ -51,7 +51,6 @@ def unroll_self_loop(program: ILProgram, label: str, factor: int) -> bool:
         return False
 
     body = block.body
-    defined: set[ILValue] = {i.dest for i in body if i.dest is not None}
 
     new_instructions: list[ILInstruction] = []
     # Values carried from the previous copy: start with the originals

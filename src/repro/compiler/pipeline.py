@@ -84,14 +84,6 @@ class CompilationResult:
     optimization_counts: dict[str, int] = field(default_factory=dict)
     distribution: Optional[DistributionStats] = None
 
-    @property
-    def spill_loads(self) -> int:
-        return self.allocation.spills.total_loads
-
-    @property
-    def spill_stores(self) -> int:
-        return self.allocation.spills.total_stores
-
 
 def make_pool_resolver(assignment: RegisterAssignment, oblivious: bool):
     """Build the allocator's pool resolver for a register assignment.

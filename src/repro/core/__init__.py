@@ -10,7 +10,6 @@ from repro.core.balance import (
     DistributionStats,
     il_plan,
     imbalance_around,
-    imbalance_before,
     static_distribution_stats,
 )
 from repro.core.distribution import (
@@ -25,7 +24,6 @@ from repro.core.partition import (
     Partitioner,
     RandomPartitioner,
     RoundRobinPartitioner,
-    SingleClusterPartitioner,
 )
 from repro.core.registers import RegisterAssignment
 
@@ -33,7 +31,6 @@ __all__ = [
     "DistributionStats",
     "il_plan",
     "imbalance_around",
-    "imbalance_before",
     "static_distribution_stats",
     "DistributionPlan",
     "Scenario",
@@ -44,6 +41,5 @@ __all__ = [
     "Partitioner",
     "RandomPartitioner",
     "RoundRobinPartitioner",
-    "SingleClusterPartitioner",
     "RegisterAssignment",
 ]

@@ -91,17 +91,6 @@ def imbalance_around(
     return imbalance
 
 
-def imbalance_before(
-    block: BasicBlock,
-    index: int,
-    lrs: LiveRangeSet,
-    cluster_of: dict[int, Optional[int]],
-    num_clusters: int = 2,
-) -> int:
-    """Prefix-scope imbalance (see :func:`imbalance_around`)."""
-    return imbalance_around(block, index, lrs, cluster_of, num_clusters, scope="prefix")
-
-
 def _is_partially_determined(
     instr: ILInstruction,
     lrs: LiveRangeSet,

@@ -5,7 +5,6 @@ from repro.core.partition.base import Partitioner, complete_partition
 from repro.core.partition.baselines import (
     RandomPartitioner,
     RoundRobinPartitioner,
-    SingleClusterPartitioner,
 )
 from repro.core.partition.local import LocalScheduler
 
@@ -15,6 +14,5 @@ __all__ = [
     "complete_partition",
     "RandomPartitioner",
     "RoundRobinPartitioner",
-    "SingleClusterPartitioner",
     "LocalScheduler",
 ]

@@ -47,21 +47,3 @@ class RandomPartitioner(Partitioner):
             lr.lrid: rng.randrange(self.num_clusters)
             for lr in lrs.local_candidates()
         }
-
-
-class SingleClusterPartitioner(Partitioner):
-    """Degenerate assignment: everything on one cluster (sanity baseline).
-
-    Useful in tests — it yields zero dual-distribution but maximal
-    imbalance, the opposite corner from the local scheduler.
-    """
-
-    name = "one-sided"
-    _token_fields = ('cluster',)
-
-    def __init__(self, num_clusters: int = 2, cluster: int = 0) -> None:
-        super().__init__(num_clusters)
-        self.cluster = cluster
-
-    def partition(self, program: ILProgram, lrs: LiveRangeSet) -> dict[int, int]:
-        return {lr.lrid: self.cluster for lr in lrs.local_candidates()}

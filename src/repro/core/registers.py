@@ -59,9 +59,6 @@ class RegisterAssignment:
     def is_global(self, reg: Register) -> bool:
         return len(self._clusters_of[reg]) == self.num_clusters and self.num_clusters > 1
 
-    def is_local(self, reg: Register) -> bool:
-        return len(self._clusters_of[reg]) == 1
-
     def home_cluster(self, reg: Register) -> Optional[int]:
         """The unique owning cluster for a local register, else ``None``."""
         clusters = self._clusters_of[reg]

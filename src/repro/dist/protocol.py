@@ -132,11 +132,6 @@ class FrameDecoder:
             del self._buffer[:end]
             messages.append(decode_payload(payload))
 
-    @property
-    def pending_bytes(self) -> int:
-        """Buffered bytes of the (possibly partial) next frame."""
-        return len(self._buffer)
-
 
 def send_message(sock: socket.socket, kind: str, **data: Any) -> None:
     """Blocking send of one message (the worker side)."""

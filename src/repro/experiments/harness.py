@@ -48,7 +48,7 @@ from repro.robustness.retry import RetryPolicy, run_with_retry
 from repro.robustness.validate import validate_run, validate_trace_length
 from repro.uarch.config import ProcessorConfig, dual_cluster_config, single_cluster_config
 from repro.uarch.engine import make_processor
-from repro.uarch.processor import Processor, SimulationResult, simulate
+from repro.uarch.processor import SimulationResult, simulate
 from repro.workloads.generator import Workload
 from repro.workloads.spec92 import DEFAULT_TRACE_LENGTH
 from repro.workloads.tracegen import TraceGenerator
@@ -442,4 +442,3 @@ def evaluate_part_with_retry(
         error.context.setdefault("part", part)
         raise
     return result.value, len(result.attempts)
-

@@ -27,8 +27,8 @@ the parallel path cannot drift from the serial one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import random
 

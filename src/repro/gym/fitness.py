@@ -31,7 +31,7 @@ resumable and trajectories byte-identical across reruns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from repro.core.partition.local import LocalScheduler

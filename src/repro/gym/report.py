@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.gym.fitness import Baseline, GymSettings, TrialResult
+from repro.robustness.atomicio import atomic_write_json, atomic_write_text
 
 #: Trajectory record schema version (bumped on incompatible change).
 TRAJECTORY_SCHEMA = 1
@@ -103,18 +104,10 @@ def dump_records(records: Iterable[dict]) -> str:
 
 
 def write_trajectory(path: Union[str, os.PathLike], records: Iterable[dict]) -> None:
-    """Write the whole trajectory atomically (tmp + rename): a crashed
-    writer leaves the previous file intact, never a torn one.  Durability
-    during the search itself is the run journal's job."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    text = dump_records(records)
-    tmp = target.with_name(target.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
+    """Write the whole trajectory atomically (tmp + fsync + rename): a
+    crashed writer leaves the previous file intact, never a torn one.
+    Durability during the search itself is the run journal's job."""
+    atomic_write_text(path, dump_records(records))
 
 
 def load_trajectory(path: Union[str, os.PathLike]) -> list[dict]:
@@ -137,14 +130,11 @@ def load_trajectory(path: Union[str, os.PathLike]) -> list[dict]:
 
 
 def write_frontier(path: Union[str, os.PathLike], frontier: Sequence[TrialResult]) -> None:
-    """Frontier as one canonical JSON document (sorted keys, trailing \\n)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
+    """Frontier as one canonical JSON document (sorted keys, trailing \\n),
+    written atomically like the trajectory."""
     record = frontier_record(frontier)
     validate_record(record)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, target)
+    atomic_write_json(path, record)
 
 
 def format_frontier(frontier: Sequence[TrialResult], baseline: Optional[Baseline] = None) -> str:

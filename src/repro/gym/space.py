@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from repro.core.registers import RegisterAssignment
 from repro.errors import ConfigError

@@ -1,7 +1,7 @@
 """Compiler intermediate representation: values, live ranges, CFGs, programs."""
 
 from repro.ir.basic_block import BasicBlock
-from repro.ir.builder import ProgramBuilder, sequence_probs
+from repro.ir.builder import ProgramBuilder
 from repro.ir.cfg import ControlFlowGraph
 from repro.ir.instructions import ILInstruction
 from repro.ir.live_range import LiveRange, LiveRangeSet
@@ -17,7 +17,6 @@ from repro.ir.values import ILValue
 __all__ = [
     "BasicBlock",
     "ProgramBuilder",
-    "sequence_probs",
     "ControlFlowGraph",
     "ILInstruction",
     "LiveRange",

@@ -14,7 +14,7 @@ the synthetic workload generator.  Typical use::
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RegisterClass
@@ -173,9 +173,3 @@ class ProgramBuilder:
     def build(self) -> ILProgram:
         """Finalize the CFG (fallthrough wiring, uids) and return the program."""
         return self.program.finalize()
-
-
-def sequence_probs(labels: Sequence[str]) -> dict[str, float]:
-    """Uniform edge probabilities over ``labels`` (builder convenience)."""
-    p = 1.0 / len(labels)
-    return {label: p for label in labels}

@@ -60,9 +60,6 @@ class ControlFlowGraph:
     def successors(self, label: str) -> list[BasicBlock]:
         return [self._blocks[s] for s in self._blocks[label].succ_labels]
 
-    def predecessors(self, label: str) -> list[BasicBlock]:
-        return [b for b in self.blocks() if label in b.succ_labels]
-
     def predecessor_map(self) -> dict[str, list[str]]:
         """Label -> predecessor labels, computed in one pass."""
         preds: dict[str, list[str]] = {label: [] for label in self._order}

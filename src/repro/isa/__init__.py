@@ -15,7 +15,6 @@ from repro.isa.registers import (
     allocatable_registers,
     fp_reg,
     int_reg,
-    parse_register,
     reg_from_uid,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "allocatable_registers",
     "fp_reg",
     "int_reg",
-    "parse_register",
     "reg_from_uid",
 ]

@@ -116,14 +116,6 @@ def reg_from_uid(uid: int) -> Register:
     return _ALL_REGS[uid]
 
 
-def parse_register(name: str) -> Register:
-    """Parse an assembly-style register name (``"r4"``, ``"f31"``)."""
-    if len(name) < 2 or name[0] not in ("r", "f"):
-        raise ValueError(f"not a register name: {name!r}")
-    index = int(name[1:])
-    return int_reg(index) if name[0] == "r" else fp_reg(index)
-
-
 STACK_POINTER = int_reg(STACK_POINTER_INDEX)
 GLOBAL_POINTER = int_reg(GLOBAL_POINTER_INDEX)
 INT_ZERO = int_reg(ZERO_INDEX)

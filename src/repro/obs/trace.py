@@ -109,9 +109,7 @@ class RingSink(TraceSink):
 class JsonlSink(TraceSink):
     """Streaming JSONL sink: one event per line, flushed on close.
 
-    The file is opened lazily on the first event and dropped from the
-    pickled state (checkpointing pickles whole processors), reopening in
-    append mode on the next event after a restore.
+    The file is opened lazily, in append mode, on the first event.
     """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
@@ -131,11 +129,6 @@ class JsonlSink(TraceSink):
             self._fh.flush()
             self._fh.close()
             self._fh = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_fh"] = None  # file handles do not survive pickling
-        return state
 
 
 class TraceRecorder:

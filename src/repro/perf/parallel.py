@@ -303,4 +303,3 @@ def run_sweep(
         self_check=self_check,
     )
     return values
-

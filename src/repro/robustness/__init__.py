@@ -1,4 +1,4 @@
-"""Robustness substrate: validation, invariants, fault injection, checkpoints.
+"""Robustness substrate: validation, invariants, fault injection.
 
 The headline numbers of the reproduction are only as trustworthy as the
 simulator's failure behaviour.  This package makes failures *loud and
@@ -10,9 +10,7 @@ typed* instead of silent or hanging:
   checker behind ``ProcessorConfig.self_check`` (observes, never perturbs);
 * :mod:`repro.robustness.faultinject` — composable fault injectors used
   by the test matrix to prove every fault surfaces as a typed
-  :class:`~repro.errors.ReproError`;
-* :mod:`repro.robustness.checkpoint` — snapshot/resume for long
-  simulations.
+  :class:`~repro.errors.ReproError`.
 
 PR 3 adds the *resilient sweep orchestration* layer on top:
 
@@ -26,19 +24,13 @@ PR 3 adds the *resilient sweep orchestration* layer on top:
 * :mod:`repro.robustness.chaos` — the seeded chaos soak harness behind
   ``repro chaos`` (also lazily imported);
 * :mod:`repro.robustness.atomicio` — atomic, fsync'd file writes shared
-  by the journal, bundles, checkpoints, and exported reports.
+  by the journal, bundles, and exported reports.
 """
 
 from repro.robustness.atomicio import (
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
-)
-from repro.robustness.checkpoint import (
-    SimulationCheckpoint,
-    restore,
-    run_with_checkpoints,
-    snapshot,
 )
 from repro.robustness.faultinject import (
     DropPendingEvents,
@@ -79,10 +71,6 @@ from repro.robustness.validate import (
 )
 
 __all__ = [
-    "SimulationCheckpoint",
-    "snapshot",
-    "restore",
-    "run_with_checkpoints",
     "DropPendingEvents",
     "DropTransferEntry",
     "DuplicateTransferEntry",

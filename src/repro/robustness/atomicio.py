@@ -2,7 +2,8 @@
 
 Every artifact that a crashed or killed process must never leave
 half-written — run-journal sidecars, replay bundles, chaos health
-reports, stats exports, checkpoints — goes through one helper:
+reports, stats exports, gym trajectories and frontiers — goes through
+one helper:
 write to a temporary file in the target directory, flush, ``fsync``,
 ``os.replace`` over the destination, then ``fsync`` the directory so the
 rename itself is durable.  A reader therefore sees either the old

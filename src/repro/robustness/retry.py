@@ -135,10 +135,6 @@ class AttemptRecord:
     classification: Optional[str] = None
     delay_s: float = 0.0
 
-    @property
-    def succeeded(self) -> bool:
-        return self.error_type is None
-
 
 @dataclass
 class RetryOutcome:

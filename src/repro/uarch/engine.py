@@ -41,7 +41,7 @@ caches, predictor, ROB entries, and uops — and performs the same state
 transitions in the same order within every cycle.  Replay exceptions
 (hot on small-buffer machines, so written for speed in the reference
 model itself) and the cold paths (dynamic register reassignment,
-fast-forward, diagnostics, checkpointing) run the inherited reference
+fast-forward, diagnostics) run the inherited reference
 implementation.
 The observability hooks (``recorder``, ``metrics_hook``, ``stall_acct``,
 invariant self-checks) and fault injectors are honoured at the same
@@ -246,8 +246,7 @@ class BatchedProcessor(Processor):
         #: naming instructions (both referents are kept alive by the trace
         #: and ``_plan_cache`` respectively, so the ids are stable) and
         #: ``(id(instr), preferred)`` for homeless ones.  Cleared on
-        #: reassignment and dropped on pickling — object ids do not
-        #: survive a checkpoint round-trip.
+        #: reassignment.
         self._recipes: dict = {}
         #: Number of live uops with ``blocked_on_buffer_since >= 0``.  The
         #: fused loop skips the (read-only when nothing is blocked) replay
@@ -257,11 +256,6 @@ class BatchedProcessor(Processor):
         self._bbuf = 0
 
     # ------------------------------------------------------------- plumbing
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_recipes"] = {}
-        return state
-
     def _handle_reassignment(self, dyn: DynamicInstruction, cycle: int) -> bool:
         done = super()._handle_reassignment(dyn, cycle)
         if done:

@@ -42,10 +42,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.distribution import DistributionPlan, Scenario, plan_for_instruction
+from repro.core.distribution import DistributionPlan, plan_for_instruction
 from repro.core.registers import RegisterAssignment
 from repro.errors import ConfigError, SimulationError, WatchdogTimeout
-from repro.isa.opcodes import InstrClass, Opcode
+from repro.isa.opcodes import InstrClass
 from repro.isa.registers import RegisterClass, reg_from_uid
 from repro.obs.trace import TraceRecorder, iter_events
 from repro.uarch.branch_predictor import McFarlingPredictor
@@ -251,9 +251,8 @@ class Processor:
 
         The watchdog cycle budget is ``max_cycles`` when given, else
         ``config.cycle_budget``, else a generous default derived from the
-        trace length.  Use with :meth:`advance`/:meth:`finalize` for
-        incremental simulation (checkpointing); :meth:`run` wraps all
-        three.
+        trace length.  Use with :meth:`advance`/:meth:`finalize` to step
+        a simulation in slices; :meth:`run` wraps all three.
         """
         self._trace = trace
         self._limit = (
@@ -265,7 +264,8 @@ class Processor:
         """Step the simulation; True once the whole trace has retired.
 
         ``max_steps`` bounds the number of cycle steps taken in this call
-        (0 = run to completion) — the checkpointing granularity.
+        (0 = run to completion) — the stepping seam the engine-parity
+        tests use to count loop steps.
 
         Raises:
             WatchdogTimeout: the cycle budget was exceeded, or no pipeline

@@ -2,7 +2,6 @@
 
 from repro.workloads.address_streams import (
     AddressStream,
-    FixedStream,
     HotColdStream,
     RandomStream,
     StackStream,
@@ -40,7 +39,6 @@ from repro.workloads.tracegen import SPILL_BASE, TraceGenerator
 
 __all__ = [
     "AddressStream",
-    "FixedStream",
     "HotColdStream",
     "RandomStream",
     "StackStream",

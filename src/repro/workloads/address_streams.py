@@ -100,18 +100,6 @@ class HotColdStream(AddressStream):
         return (self.base + self.hot_size + rng.randrange(0, self.cold_size)) & ~0x7
 
 
-class FixedStream(AddressStream):
-    """A single address (scalar globals, spill slots)."""
-
-    _token_fields = ('address',)
-
-    def __init__(self, address: int) -> None:
-        self.address = address & ~0x7
-
-    def next_address(self, rng: random.Random) -> int:
-        return self.address
-
-
 class StackStream(AddressStream):
     """Random access within a small stack frame (very high locality)."""
 

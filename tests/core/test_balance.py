@@ -7,7 +7,6 @@ from repro.core.balance import (
     DistributionStats,
     il_plan,
     imbalance_around,
-    imbalance_before,
     static_distribution_stats,
 )
 from repro.core.distribution import Scenario
@@ -94,7 +93,7 @@ class TestImbalance:
         block = prog.cfg.block("b0")
         cluster_of = {lr.lrid: 0 for lr in lrs}
         whole = imbalance_around(block, 1, lrs, cluster_of, 2, scope="block")
-        prefix = imbalance_before(block, 1, lrs, cluster_of, 2)
+        prefix = imbalance_around(block, 1, lrs, cluster_of, 2, scope="prefix")
         assert prefix <= whole
         assert prefix == 1  # only the first instruction precedes index 1
 

@@ -5,7 +5,6 @@ from repro.core.partition import (
     LocalScheduler,
     RandomPartitioner,
     RoundRobinPartitioner,
-    SingleClusterPartitioner,
     complete_partition,
 )
 from repro.ir.builder import ProgramBuilder
@@ -57,13 +56,6 @@ class TestRandom:
         prog, lrs = sample()
         part = RandomPartitioner(seed=1).partition(prog, lrs)
         assert set(part.values()) <= {0, 1}
-
-
-class TestSingleCluster:
-    def test_everything_one_side(self):
-        prog, lrs = sample()
-        part = SingleClusterPartitioner(cluster=1).partition(prog, lrs)
-        assert set(part.values()) == {1}
 
 
 class TestInterface:

@@ -29,7 +29,6 @@ from repro.gym.report import (
     dump_records,
     frontier_record,
     header_record,
-    load_trajectory,
     trial_record,
 )
 from repro.gym.space import DesignSpace

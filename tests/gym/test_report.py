@@ -1,6 +1,7 @@
 """Tests for trajectory/frontier reports: schema, determinism, atomicity."""
 
 import json
+import os
 
 import pytest
 
@@ -93,7 +94,7 @@ class TestFiles:
         write_trajectory(path, records())
         loaded = load_trajectory(path)
         assert loaded == records()
-        assert not path.with_name(path.name + ".tmp").exists()
+        assert not list(path.parent.glob("*.tmp"))
 
     def test_rewrite_is_atomic_replace(self, tmp_path):
         path = tmp_path / "trajectory.jsonl"
@@ -116,6 +117,18 @@ class TestFiles:
         record = json.loads(text)
         validate_record(record)
         assert text == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+    def test_frontier_write_is_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        write_frontier(tmp_path / "frontier.json", [TRIAL])
+        assert synced
 
 
 class TestFormat:

@@ -1,7 +1,6 @@
 """Tests for the N-cluster design space (genomes, sampling, operators)."""
 
 import random
-from dataclasses import replace
 
 import pytest
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir.builder import ProgramBuilder, sequence_probs
+from repro.ir.builder import ProgramBuilder
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RegisterClass
 
@@ -116,7 +116,3 @@ class TestProgram:
         text = b.build().format()
         assert "hello" in text
         assert "lda" in text
-
-    def test_sequence_probs(self):
-        probs = sequence_probs(["a", "b"])
-        assert probs == {"a": 0.5, "b": 0.5}

@@ -15,7 +15,6 @@ from repro.isa.registers import (
     allocatable_registers,
     fp_reg,
     int_reg,
-    parse_register,
     reg_from_uid,
 )
 
@@ -53,20 +52,6 @@ class TestNamesAndParsing:
     def test_names(self):
         assert int_reg(7).name == "r7"
         assert fp_reg(12).name == "f12"
-
-    def test_parse_round_trip(self):
-        for reg in all_registers():
-            assert parse_register(reg.name) is reg
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_register("x5")
-        with pytest.raises(ValueError):
-            parse_register("")
-
-    def test_parse_rejects_out_of_range(self):
-        with pytest.raises(IndexError):
-            parse_register("r32")
 
 
 class TestSpecialRegisters:

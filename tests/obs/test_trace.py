@@ -1,7 +1,6 @@
 """Typed pipeline tracing: events, sinks, recorder, and back-compat."""
 
 import json
-import pickle
 
 import pytest
 
@@ -96,18 +95,6 @@ class TestJsonl:
         sink = JsonlSink(path)
         sink.close()
         assert not path.exists()
-
-    def test_sink_survives_pickling(self, tmp_path):
-        """Checkpointing pickles processors; the file handle must not ride."""
-        path = tmp_path / "events.jsonl"
-        sink = JsonlSink(path)
-        sink.append(PipelineEvent(0, "issue", 0))
-        pickled = pickle.dumps(sink)
-        sink.close()  # the checkpointed process is gone on restore
-        restored = pickle.loads(pickled)
-        restored.append(PipelineEvent(1, "issue", 1))
-        restored.close()
-        assert [e.cycle for e in read_jsonl(path)] == [0, 1]
 
 
 class TestIterEvents:

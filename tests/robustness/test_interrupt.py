@@ -30,7 +30,7 @@ class TestSweepInterrupted:
 
         class CtrlCJournal(RunJournal):
             def record_completed(self, key, *args, **kwargs):
-                entry = super().record_completed(key, *args, **kwargs)
+                super().record_completed(key, *args, **kwargs)
                 delivered.append(key)
                 raise KeyboardInterrupt("simulated Ctrl-C")
 

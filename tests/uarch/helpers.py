@@ -3,6 +3,8 @@
 from repro.core.registers import RegisterAssignment
 from repro.ir.machine_program import MachineProgram
 from repro.isa.instructions import MachineInstruction
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import int_reg
 from repro.uarch.config import ProcessorConfig, default_assignment_for
 from repro.uarch.processor import Processor
 from repro.workloads.trace import DynamicInstruction
@@ -33,6 +35,29 @@ def trace_from_instructions(
             )
         )
     return trace
+
+
+def make_trace(n: int = 400) -> list[DynamicInstruction]:
+    """A mix of dependent adds and slow multiplies on the even/odd dual
+    machine's registers, so the run spans many cycles and keeps
+    nontrivial state in flight."""
+    instrs = []
+    for i in range(n):
+        if i % 7 == 3:
+            instrs.append(
+                MachineInstruction(
+                    Opcode.MULQ, dest=int_reg(2), srcs=(int_reg(2), int_reg(4))
+                )
+            )
+        else:
+            instrs.append(
+                MachineInstruction(
+                    Opcode.ADDQ,
+                    dest=int_reg(2 + 2 * (i % 8)),
+                    srcs=(int_reg(0), int_reg(1 + 2 * (i % 4))),
+                )
+            )
+    return trace_from_instructions(instrs)
 
 
 def run_trace(

@@ -4,12 +4,14 @@ The contract (DESIGN.md §14): ``ProcessorConfig.engine`` selects a
 simulation kernel, never a different simulated machine.  Every stats
 counter — the full ``stats_fingerprint`` surface — must match the
 reference model exactly, on every Table 2 benchmark, on both machines,
-through checkpoints, and under fault injection.  It must also stay
+when stepped in slices, and under fault injection.  It must also stay
 faster: :class:`TestEngineSpeedup` holds it to a committed floor.
 """
 
 import copy
-import pickle
+import functools
+import gc
+import random
 import time
 from dataclasses import replace
 
@@ -19,6 +21,7 @@ from repro.compiler.pipeline import compile_program
 from repro.core.registers import RegisterAssignment
 from repro.errors import ConfigError, WatchdogTimeout
 from repro.experiments.harness import PARTS, EvaluationOptions, evaluate_workload_part
+from repro.gym.space import ClusterSpec, DesignPoint, DesignSpace
 from repro.isa.instructions import MachineInstruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import int_reg
@@ -27,13 +30,13 @@ from repro.perf.fingerprint import fingerprint
 from repro.robustness.faultinject import DuplicateTransferEntry, StuckFunctionalUnit
 from repro.uarch.config import dual_cluster_config, single_cluster_config
 from repro.uarch.engine import ENGINES, BatchedProcessor, make_processor
-from repro.uarch.processor import Processor
+from repro.uarch.processor import Processor, simulate
+from repro.uarch.uop import RobEntry, Uop
 from repro.workloads.kernels import KERNELS
 from repro.workloads.spec92 import SPEC92
 from repro.workloads.tracegen import TraceGenerator
 
-from tests.robustness.test_checkpoint import make_trace
-from tests.uarch.helpers import trace_from_instructions
+from tests.uarch.helpers import make_trace, trace_from_instructions
 
 #: Short traces keep the 6 benchmarks x 2 machines x 2 engines sweep
 #: CI-friendly; the compile/trace artifacts are shared via a
@@ -242,6 +245,20 @@ class TestStallRunSkip:
         assert results["batched"] == results["reference"]
         assert steps["batched"] < steps["reference"]
 
+    def test_stepwise_advance_matches_straight_run(self, listwalk_trace):
+        # The listwalk trace makes bulk-counted stall runs end on (and
+        # straddle) the max_steps boundaries.
+        config = replace(dual_cluster_config(), engine="batched")
+        for trace in (make_trace(), listwalk_trace):
+            straight = make_processor(config, RegisterAssignment.even_odd_dual())
+            expected = fingerprint(straight.run(trace).stats.as_dict())
+
+            stepper = make_processor(config, RegisterAssignment.even_odd_dual())
+            stepper.start(trace)
+            while not stepper.advance(max_steps=37):
+                pass
+            assert fingerprint(stepper.finalize().stats.as_dict()) == expected
+
     def test_reassignment_points_in_a_stall_heavy_trace(self, listwalk_trace):
         # A reassignment point drains the machine before it reaches the
         # resource checks; stall runs before and after the switches must
@@ -345,37 +362,6 @@ class TestWatchdogParity:
         assert result.stats.instructions == 400
 
 
-class TestCheckpointParity:
-    def test_stepwise_advance_matches_straight_run(self, listwalk_trace):
-        # The listwalk trace makes bulk-counted stall runs end on (and
-        # straddle) the max_steps boundaries.
-        config = replace(dual_cluster_config(), engine="batched")
-        for trace in (make_trace(), listwalk_trace):
-            straight = make_processor(config, RegisterAssignment.even_odd_dual())
-            expected = fingerprint(straight.run(trace).stats.as_dict())
-
-            stepper = make_processor(config, RegisterAssignment.even_odd_dual())
-            stepper.start(trace)
-            while not stepper.advance(max_steps=37):
-                pass
-            assert fingerprint(stepper.finalize().stats.as_dict()) == expected
-
-    def test_pickle_round_trip_resumes_bit_identically(self):
-        config = replace(dual_cluster_config(), engine="batched")
-        straight = make_processor(config, RegisterAssignment.even_odd_dual())
-        expected = fingerprint(straight.run(make_trace()).stats.as_dict())
-
-        processor = make_processor(config, RegisterAssignment.even_odd_dual())
-        processor.start(make_trace())
-        assert not processor.advance(max_steps=120)
-        resumed = pickle.loads(pickle.dumps(processor))
-        # Dispatch recipes are keyed by object identity, so they must not
-        # survive the round trip; they rebuild lazily on resume.
-        assert resumed._recipes == {}
-        resumed.advance()
-        assert fingerprint(resumed.finalize().stats.as_dict()) == expected
-
-
 class TestFaultInjectionParity:
     @pytest.mark.parametrize(
         "fault_factory",
@@ -425,10 +411,6 @@ class TestEventLoopProgress:
 # --------------------------------------------------------------------------
 # N-cluster differential sweep: the batched engine must stay bit-identical
 # across the whole gym design space, not just the paper's two machines.
-
-import random
-
-from repro.gym.space import ClusterSpec, DesignPoint, DesignSpace
 
 
 def _gym_points():
@@ -494,12 +476,6 @@ class TestNClusterIdentity:
 # Retire and squash break the entry<->uop and master<->slave reference
 # cycles (DESIGN.md §14), so a finished run leaves no instruction for the
 # cyclic garbage collector.
-
-import functools
-import gc
-
-from repro.uarch.processor import simulate
-from repro.uarch.uop import RobEntry, Uop
 
 #: Four 2-wide clusters: every multi-helper (N-slave) distribution shape.
 FOUR_CLUSTERS = DesignPoint(clusters=(ClusterSpec(2, 32, 64),) * 4)

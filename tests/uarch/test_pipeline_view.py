@@ -40,7 +40,6 @@ class TestRows:
         assert {"D", "I", "C"} <= letters
         # Retirement is attached to the master row unless it lands on the
         # same cycle as completion (the cell keeps the completion letter).
-        all_cycles = rows[0].events
         assert "T" in letters or "C" in letters
 
 
@@ -67,9 +66,9 @@ class TestRendering:
         """The rendered chart shows the Figure 2 ordering."""
         p, _ = run_trace([add(4, 0, 1)], dual_cluster_config())
         text = render_pipeline(p.event_log)
-        lines = [l for l in text.splitlines()[1:]]
-        master_line = next(l for l in lines if "master" in l)
-        slave_line = next(l for l in lines if "slave" in l)
+        lines = text.splitlines()[1:]
+        master_line = next(line for line in lines if "master" in line)
+        slave_line = next(line for line in lines if "slave" in line)
         assert slave_line.index("I") < master_line.index("I")
 
     def test_max_width_truncates_columns(self):

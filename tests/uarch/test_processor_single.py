@@ -134,7 +134,6 @@ class TestRetirement:
 
 class TestMemoryDependences:
     def test_load_waits_for_same_address_store(self):
-        store = MachineInstruction(Opcode.STQ, srcs=(int_reg(0), int_reg(2)))
         blocker = mul(0, 0, 0)  # the store's value comes from a slow mul
         store_dep = MachineInstruction(Opcode.STQ, srcs=(int_reg(0), int_reg(2)))
         load = MachineInstruction(Opcode.LDQ, dest=int_reg(4), srcs=(int_reg(2),))

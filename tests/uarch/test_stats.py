@@ -72,7 +72,7 @@ class TestMergedMissExport:
         from repro.uarch.config import single_cluster_config
         from repro.uarch.processor import Processor
 
-        from tests.robustness.test_checkpoint import make_trace
+        from tests.uarch.helpers import make_trace
 
         processor = Processor(
             single_cluster_config(), RegisterAssignment.single_cluster()

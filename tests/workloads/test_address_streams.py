@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads.address_streams import (
-    FixedStream,
     HotColdStream,
     RandomStream,
     StackStream,
@@ -68,10 +67,6 @@ class TestHotCold:
 
 
 class TestFixedAndStack:
-    def test_fixed_always_same(self):
-        s = FixedStream(0x1238)
-        assert set(drain(s, 5)) == {0x1238}
-
     def test_stack_within_frame(self):
         s = StackStream(base=0x7000, frame_size=256)
         for a in drain(s, 100):

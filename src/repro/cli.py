@@ -307,6 +307,7 @@ def _cmd_ablations(args: argparse.Namespace) -> None:
         run_buffer_depth_ablation,
         run_global_widening_ablation,
         run_imbalance_scope_ablation,
+        run_issue_width_ablation,
         run_partitioner_ablation,
         run_queue_size_ablation,
         run_threshold_ablation,
@@ -324,6 +325,7 @@ def _cmd_ablations(args: argparse.Namespace) -> None:
         "globals": run_global_widening_ablation,
         "queue": run_queue_size_ablation,
         "scope": run_imbalance_scope_ablation,
+        "width": run_issue_width_ablation,
     }
     selected = args.sweeps or list(sweeps)
     journal = _make_journal(args)
@@ -666,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         choices=[
             "threshold", "buffers", "partitioner", "assignment",
-            "unroll", "globals", "queue", "scope",
+            "unroll", "globals", "queue", "scope", "width",
         ],
         default=None,
     )

@@ -16,7 +16,6 @@ class InterferenceGraph:
     """Undirected interference graph keyed by live-range id."""
 
     def __init__(self, lrs: LiveRangeSet) -> None:
-        self.lrs = lrs
         self.adjacency: dict[int, set[int]] = {lr.lrid: set() for lr in lrs}
 
     # ------------------------------------------------------------- building
@@ -50,9 +49,6 @@ class InterferenceGraph:
     # -------------------------------------------------------------- queries
     def interferes(self, a: LiveRange, b: LiveRange) -> bool:
         return b.lrid in self.adjacency[a.lrid]
-
-    def neighbors(self, lr: LiveRange) -> list[LiveRange]:
-        return [self.lrs.ranges[i] for i in self.adjacency[lr.lrid]]
 
     def degree(self, lr: LiveRange) -> int:
         return len(self.adjacency[lr.lrid])

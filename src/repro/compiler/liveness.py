@@ -80,19 +80,3 @@ class LivenessInfo:
 
     def live_out(self, label: str) -> set[ILValue]:
         return self.blocks[label].live_out
-
-    def live_before_each(self, label: str) -> list[set[ILValue]]:
-        """Live set immediately before each instruction of a block.
-
-        Returned list is parallel to ``block.instructions``.
-        """
-        block = self.program.cfg.block(label)
-        live = set(self.blocks[label].live_out)
-        result: list[set[ILValue]] = [set() for _ in block.instructions]
-        for idx in range(len(block.instructions) - 1, -1, -1):
-            instr = block.instructions[idx]
-            if instr.dest is not None:
-                live.discard(instr.dest)
-            live.update(instr.srcs)
-            result[idx] = set(live)
-        return result

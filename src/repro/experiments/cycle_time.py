@@ -107,12 +107,3 @@ def format_cycle_time_analysis(report: CycleTimeReport) -> str:
         f"@0.35um and {report.wins_at_018}/{len(report.rows)} @0.18um"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    report = run_cycle_time_analysis()
-    print(format_cycle_time_analysis(report))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

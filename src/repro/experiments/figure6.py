@@ -151,7 +151,3 @@ def main() -> None:  # pragma: no cover - CLI convenience
     )
     print(f"  matches paper         : {result.matches_paper}")
     print(f"  cluster assignment    : {result.partition}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

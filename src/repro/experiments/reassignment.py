@@ -193,11 +193,3 @@ def format_reassignment_result(result: ReassignmentResult) -> str:
         f"dynamic wins: {result.dynamic_wins}",
     ]
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_reassignment_result(run_reassignment_demo()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -196,13 +196,3 @@ def format_timeline(timeline: ScenarioTimeline) -> str:
 
 def run_all_scenarios() -> list[ScenarioTimeline]:
     return [run_scenario(n) for n in sorted(SCENARIOS)]
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    for timeline in run_all_scenarios():
-        print(format_timeline(timeline))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -440,12 +440,3 @@ def format_table2(result: Table2Result) -> str:
             f"{100 * ev.single.stats.dcache_miss_rate:>7.1f}%"
         )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run_table2()
-    print(format_table2(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -114,12 +114,6 @@ class LiveRangeSet:
         self.ranges.append(lr)
         return lr
 
-    def range_for_def(self, uid: int, value: ILValue) -> LiveRange:
-        return self.def_map[(uid, value)]
-
-    def range_for_use(self, uid: int, value: ILValue) -> LiveRange:
-        return self.use_map[(uid, value)]
-
     def range_named(self, name: str) -> Optional[LiveRange]:
         """Look up a live range by display name (handy in tests/examples)."""
         for lr in self.ranges:
@@ -129,9 +123,6 @@ class LiveRangeSet:
 
     def local_candidates(self) -> list[LiveRange]:
         return [lr for lr in self.ranges if not lr.global_candidate]
-
-    def global_candidates(self) -> list[LiveRange]:
-        return [lr for lr in self.ranges if lr.global_candidate]
 
     def __iter__(self):
         return iter(self.ranges)

@@ -92,14 +92,6 @@ class ILProgram:
     def instruction_count(self) -> int:
         return sum(len(b) for b in self.cfg.blocks())
 
-    def block_of_uid(self) -> dict[int, str]:
-        """uid -> label of the containing block."""
-        result: dict[int, str] = {}
-        for block in self.cfg.blocks():
-            for instr in block.instructions:
-                result[instr.uid] = block.label
-        return result
-
     def format(self) -> str:
         """Multi-line listing of the whole program."""
         parts = [f"program {self.name}"]

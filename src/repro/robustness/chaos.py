@@ -29,13 +29,14 @@ the simulator costs milliseconds, not a watchdog-default eternity.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import random
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.errors import ConfigError
 from repro.robustness.atomicio import atomic_write_json
@@ -48,6 +49,10 @@ from repro.robustness.faultinject import (
     FaultSpec,
 )
 from repro.robustness.retry import RetryPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.table2 import Table2Result
+    from repro.robustness.journal import RunJournal
 
 #: Bump when the health-report layout changes incompatibly.
 HEALTH_SCHEMA = 1
@@ -411,70 +416,72 @@ def _stats_fingerprints(result) -> dict[str, dict[str, str]]:
     }
 
 
-def _run_worker_round(
-    config: ChaosConfig, round_index: int, run_dir: Path
+def _run_executor_round(
+    config: ChaosConfig,
+    round_index: int,
+    run_dir: Path,
+    plan: FaultPlan,
+    fault: str,
+    executor: str,
+    shard_label: str,
+    faulted_sweep: Callable[[dict, Path, "RunJournal"], "Table2Result"],
+    extra_contracts: Optional[Callable[[Path], list[str]]] = None,
 ) -> RoundReport:
-    """One executor-level chaos round: supervised sweep vs serial truth.
+    """One executor-level chaos round: a faulted sweep vs serial truth.
 
-    The contract is stricter than the fault-injection rounds': worker
-    faults happen *outside* the simulation, so nothing may degrade —
-    every benchmark must complete, with every stat bit-identical
-    (``stats_fingerprint``) to a serial reference sweep, and the round's
-    shard journal must reload with every row loadable.
+    The contract is stricter than the fault-injection rounds': executor
+    faults (``fault`` names the kind: worker or host) happen *outside*
+    the simulation, so nothing may degrade — every benchmark must
+    complete, with every stat bit-identical (``stats_fingerprint``) to a
+    serial reference sweep, and the round's shard journal must reload
+    with no torn line and every row loadable.
+    ``faulted_sweep(base_options, round_dir, journal)`` runs the sweep
+    under the round's faults on the ``executor``; ``extra_contracts``
+    adds the mode's own violations.
     """
     from repro.experiments.harness import EvaluationOptions
     from repro.experiments.table2 import run_table2
     from repro.robustness.journal import RunJournal
 
-    rng = _round_rng(config.seed, round_index, salt="chaos-worker")
-    plan = random_worker_fault_plan(rng, config.benchmarks, config.max_faults)
-    options = EvaluationOptions(
-        trace_length=config.trace_length,
-        cycle_budget=config.trace_length * 30 + 10_000,
-    )
     round_dir = run_dir / f"round-{round_index:02d}"
+    round_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     violations: list[str] = []
 
-    reference = run_table2(list(config.benchmarks), options)
-    if reference.failures:  # pragma: no cover - benchmarks are healthy
-        violations.append("serial reference run failed; cannot judge round")
+    def report(completed_rows: int, failed_rows: int) -> RoundReport:
         return RoundReport(
             round_index=round_index,
             fault_plan=plan.as_dict(),
-            completed_rows=0,
-            failed_rows=len(reference.failures),
+            completed_rows=completed_rows,
+            failed_rows=failed_rows,
             retried_to_success=0,
             bundles_verified=0,
             elapsed_s=round(time.perf_counter() - start, 3),
             violations=violations,
-            mode="worker-faults",
+            mode=f"{fault}-faults",
         )
 
-    supervised_options = EvaluationOptions(
+    base = dict(
         trace_length=config.trace_length,
         cycle_budget=config.trace_length * 30 + 10_000,
-        jobs=max(2, config.jobs),
-        executor="supervised",
-        # Generous for a healthy task, short enough that a stalled or
-        # partitioned worker costs seconds, not a CI-visible hang.
-        task_timeout=max(5.0, config.trace_length / 100.0),
-        redispatch_budget=2,
-        worker_fault_plan=plan,
     )
-    journal = RunJournal(round_dir, shard=f"chaos-{round_index:02d}")
+    reference = run_table2(list(config.benchmarks), EvaluationOptions(**base))
+    if reference.failures:  # pragma: no cover - benchmarks are healthy
+        violations.append("serial reference run failed; cannot judge round")
+        return report(0, len(reference.failures))
+
+    shard = f"chaos-{round_index:02d}"
+    journal = RunJournal(round_dir, shard=shard)
     try:
-        result = run_table2(
-            list(config.benchmarks), supervised_options, journal=journal
-        )
+        result = faulted_sweep(base, round_dir, journal)
     finally:
         journal.close()
 
-    # Contract 1: worker faults never leak into row outcomes — every
+    # Contract 1: executor faults never leak into row outcomes — every
     # benchmark completes, none degrades.
     for failure in result.failures:
         violations.append(
-            f"{failure.benchmark}: worker fault leaked into a row failure "
+            f"{failure.benchmark}: {fault} fault leaked into a row failure "
             f"({failure.error_type}: {failure.message})"
         )
     completed = {row.benchmark for row in result.rows}
@@ -482,7 +489,7 @@ def _run_worker_round(
         if name not in completed and not any(
             f.benchmark == name for f in result.failures
         ):
-            violations.append(f"{name}: row lost by the supervised sweep")
+            violations.append(f"{name}: row lost by the {executor} sweep")
 
     # Contract 2: bit identity — every stat of every part matches the
     # serial reference exactly.
@@ -495,17 +502,17 @@ def _run_worker_round(
             if want[name][part] != got[name][part]:
                 violations.append(
                     f"{name}/{part}: stats fingerprint diverged from the "
-                    f"serial reference under worker faults"
+                    f"serial reference under {fault} faults"
                 )
 
-    # Contract 3: the shard journal survived — well-formed, no torn
-    # lines from killed workers (only the parent writes it), and every
-    # completed row loadable.
-    reopened = RunJournal(round_dir, shard=f"chaos-{round_index:02d}")
+    # Contract 3: the shard journal survived — only the sweep parent
+    # writes it, so a killed worker or host cannot tear it — and every
+    # completed row is loadable.
+    reopened = RunJournal(round_dir, shard=shard)
     try:
         if reopened.skipped_lines:
             violations.append(
-                f"shard journal has {reopened.skipped_lines} torn line(s)"
+                f"{shard_label} has {reopened.skipped_lines} torn line(s)"
             )
         for entry in reopened.entries():
             if entry.status == "completed" and reopened.load_artifact(entry) is None:
@@ -513,16 +520,43 @@ def _run_worker_round(
     finally:
         reopened.close()
 
-    return RoundReport(
-        round_index=round_index,
-        fault_plan=plan.as_dict(),
-        completed_rows=len(result.rows),
-        failed_rows=len(result.failures),
-        retried_to_success=0,
-        bundles_verified=0,
-        elapsed_s=round(time.perf_counter() - start, 3),
-        violations=violations,
-        mode="worker-faults",
+    if extra_contracts is not None:
+        violations.extend(extra_contracts(round_dir))
+    return report(len(result.rows), len(result.failures))
+
+
+def _run_worker_round(
+    config: ChaosConfig, round_index: int, run_dir: Path
+) -> RoundReport:
+    """One worker-fault round: the supervised executor under the plan."""
+    from repro.experiments.harness import EvaluationOptions
+    from repro.experiments.table2 import run_table2
+
+    rng = _round_rng(config.seed, round_index, salt="chaos-worker")
+    plan = random_worker_fault_plan(rng, config.benchmarks, config.max_faults)
+
+    def supervised_sweep(base: dict, _round_dir: Path, journal):
+        options = EvaluationOptions(
+            **base,
+            jobs=max(2, config.jobs),
+            executor="supervised",
+            # Generous for a healthy task, short enough that a stalled or
+            # partitioned worker costs seconds, not a CI-visible hang.
+            task_timeout=max(5.0, config.trace_length / 100.0),
+            redispatch_budget=2,
+            worker_fault_plan=plan,
+        )
+        return run_table2(list(config.benchmarks), options, journal=journal)
+
+    return _run_executor_round(
+        config,
+        round_index,
+        run_dir,
+        plan,
+        fault="worker",
+        executor="supervised",
+        shard_label="shard journal",
+        faulted_sweep=supervised_sweep,
     )
 
 
@@ -544,9 +578,7 @@ def _run_host_round(
     The full multi-host deployment, on localhost: real worker daemon
     *subprocesses* (``repro worker serve``) each loaded with the round's
     seeded host-fault plan, a real TCP coordinator, per-host journal
-    shards.  Contracts are the worker round's — nothing leaks into row
-    outcomes, every stat is bit-identical to the serial reference, the
-    coordinator's shard journal reloads clean — plus one more: the
+    shards.  Contracts are the worker round's, plus one more: the
     round's shards (coordinator + surviving hosts) must fold through
     ``merge_journals`` into a resume-equivalent journal whose completed
     row set covers every benchmark.
@@ -561,132 +593,65 @@ def _run_host_round(
 
     rng = _round_rng(config.seed, round_index, salt="chaos-host")
     plan = random_host_fault_plan(rng, config.benchmarks, config.max_faults)
-    round_dir = run_dir / f"round-{round_index:02d}"
-    round_dir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    violations: list[str] = []
 
-    base = dict(
-        trace_length=config.trace_length,
-        cycle_budget=config.trace_length * 30 + 10_000,
-    )
-    reference = run_table2(list(config.benchmarks), EvaluationOptions(**base))
-    if reference.failures:  # pragma: no cover - benchmarks are healthy
-        violations.append("serial reference run failed; cannot judge round")
-        return RoundReport(
-            round_index=round_index,
-            fault_plan=plan.as_dict(),
-            completed_rows=0,
-            failed_rows=len(reference.failures),
-            retried_to_success=0,
-            bundles_verified=0,
-            elapsed_s=round(time.perf_counter() - start, 3),
-            violations=violations,
-            mode="host-faults",
+    def distributed_sweep(base: dict, round_dir: Path, journal):
+        plan_file = round_dir / "host-fault-plan.json"
+        plan_file.write_text(
+            json.dumps(plan.as_dict(), indent=2, sort_keys=True), encoding="utf-8"
         )
-
-    plan_file = round_dir / "host-fault-plan.json"
-    plan_file.write_text(
-        json.dumps(plan.as_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    port = _free_port()
-    workers = [
-        subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker", "serve",
-                "--connect", f"127.0.0.1:{port}",
-                "--host", f"chaos-h{host_index}",
-                "--run-dir", str(round_dir),
-                "--fault-plan", str(plan_file),
-                "--connect-retries", "120",
-                "--quiet",
-            ]
-        )
-        for host_index in range(config.hosts)
-    ]
-    dist_options = EvaluationOptions(
-        **base,
-        jobs=2,
-        executor="distributed",
-        # Generous for a healthy task, short enough that a stalled host
-        # costs seconds, not a CI-visible hang.
-        task_timeout=max(5.0, config.trace_length / 100.0),
-        redispatch_budget=2,
-        dist_port=port,
-        dist_min_hosts=config.hosts,
-        dist_wait_s=30.0,
-    )
-    shard = f"chaos-{round_index:02d}"
-    journal = RunJournal(round_dir, shard=shard)
-    try:
-        result = run_table2(
-            list(config.benchmarks), dist_options, journal=journal
-        )
-    finally:
-        journal.close()
-        # Reap the hosts: killed ones are gone, partitioned ones exited,
-        # stalled ones are wedged in their sleep loop forever by design.
-        for proc in workers:
-            if proc.poll() is None:
-                proc.kill()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
-
-    # Contract 1: host faults never leak into row outcomes.
-    for failure in result.failures:
-        violations.append(
-            f"{failure.benchmark}: host fault leaked into a row failure "
-            f"({failure.error_type}: {failure.message})"
-        )
-    completed = {row.benchmark for row in result.rows}
-    for name in config.benchmarks:
-        if name not in completed and not any(
-            f.benchmark == name for f in result.failures
-        ):
-            violations.append(f"{name}: row lost by the distributed sweep")
-
-    # Contract 2: bit identity against the serial reference.
-    want = _stats_fingerprints(reference)
-    got = _stats_fingerprints(result)
-    for name in sorted(want):
-        if name not in got:
-            continue  # already reported above
-        for part in _PARTS:
-            if want[name][part] != got[name][part]:
-                violations.append(
-                    f"{name}/{part}: stats fingerprint diverged from the "
-                    f"serial reference under host faults"
-                )
-
-    # Contract 3: the coordinator's shard journal reloads clean (only
-    # the sweep parent writes it; SIGKILL'd hosts can tear their *own*
-    # shards, which the merge below tolerates by design).
-    reopened = RunJournal(round_dir, shard=shard)
-    try:
-        if reopened.skipped_lines:
-            violations.append(
-                f"coordinator shard has {reopened.skipped_lines} torn line(s)"
+        port = _free_port()
+        workers = [
+            subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "worker", "serve",
+                    "--connect", f"127.0.0.1:{port}",
+                    "--host", f"chaos-h{host_index}",
+                    "--run-dir", str(round_dir),
+                    "--fault-plan", str(plan_file),
+                    "--connect-retries", "120",
+                    "--quiet",
+                ]
             )
-        for entry in reopened.entries():
-            if entry.status == "completed" and reopened.load_artifact(entry) is None:
-                violations.append(f"{entry.key}: journaled row unloadable")
-    finally:
-        reopened.close()
-
-    # Contract 4: coordinator + host shards merge into one
-    # resume-equivalent journal with a completed table2 row per
-    # benchmark — losing any host mid-run must not cost merged rows.
-    merged_dir = round_dir / "merged"
-    try:
-        merge_journals([round_dir], merged_dir)
-    except Exception as error:  # noqa: BLE001 - any damage is a violation
-        violations.append(
-            f"shard merge failed ({type(error).__name__}: {error})"
+            for host_index in range(config.hosts)
+        ]
+        options = EvaluationOptions(
+            **base,
+            jobs=2,
+            executor="distributed",
+            # Generous for a healthy task, short enough that a stalled host
+            # costs seconds, not a CI-visible hang.
+            task_timeout=max(5.0, config.trace_length / 100.0),
+            redispatch_budget=2,
+            dist_port=port,
+            dist_min_hosts=config.hosts,
+            dist_wait_s=30.0,
         )
-    else:
+        try:
+            return run_table2(list(config.benchmarks), options, journal=journal)
+        finally:
+            # Reap the hosts: killed ones are gone, partitioned ones exited,
+            # stalled ones are wedged in their sleep loop forever by design.
+            for proc in workers:
+                if proc.poll() is None:
+                    proc.kill()
+            for proc in workers:
+                try:
+                    proc.wait(timeout=10.0)
+                except subprocess.TimeoutExpired:  # pragma: no cover
+                    pass
+
+    def merged_shards_cover_every_row(round_dir: Path) -> list[str]:
+        # Contract 4: coordinator + host shards merge into one
+        # resume-equivalent journal with a completed table2 row per
+        # benchmark — losing any host mid-run must not cost merged rows.
+        # SIGKILL'd hosts can tear their *own* shards; the merge
+        # tolerates that by design.
+        merged_dir = round_dir / "merged"
+        try:
+            merge_journals([round_dir], merged_dir)
+        except Exception as error:  # noqa: BLE001 - any damage is a violation
+            return [f"shard merge failed ({type(error).__name__}: {error})"]
+        violations: list[str] = []
         merged = RunJournal(merged_dir)
         try:
             for name in config.benchmarks:
@@ -696,22 +661,21 @@ def _run_host_round(
                         f"{name}: merged journal is missing the completed row"
                     )
                 elif merged.load_artifact(entry) is None:
-                    violations.append(
-                        f"{name}: merged journal row unloadable"
-                    )
+                    violations.append(f"{name}: merged journal row unloadable")
         finally:
             merged.close()
+        return violations
 
-    return RoundReport(
-        round_index=round_index,
-        fault_plan=plan.as_dict(),
-        completed_rows=len(result.rows),
-        failed_rows=len(result.failures),
-        retried_to_success=0,
-        bundles_verified=0,
-        elapsed_s=round(time.perf_counter() - start, 3),
-        violations=violations,
-        mode="host-faults",
+    return _run_executor_round(
+        config,
+        round_index,
+        run_dir,
+        plan,
+        fault="host",
+        executor="distributed",
+        shard_label="coordinator shard",
+        faulted_sweep=distributed_sweep,
+        extra_contracts=merged_shards_cover_every_row,
     )
 
 
@@ -735,30 +699,24 @@ def run_chaos(
     else:
         round_fn, mode = _run_round, "fault-injection"
     start = time.perf_counter()
-    if run_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            rounds = [
-                round_fn(config, i, Path(tmp)) for i in range(config.rounds)
-            ]
-            report = HealthReport(
-                seed=config.seed,
-                rounds=rounds,
-                elapsed_s=time.perf_counter() - start,
-                mode=mode,
-                config=asdict(config),
+    with contextlib.ExitStack() as stack:
+        if run_dir is None:
+            root = Path(
+                stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-chaos-"))
             )
-        return report
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    rounds = [round_fn(config, i, run_dir) for i in range(config.rounds)]
-    report = HealthReport(
-        seed=config.seed,
-        rounds=rounds,
-        elapsed_s=time.perf_counter() - start,
-        mode=mode,
-        config=asdict(config),
-    )
-    report.save(run_dir / "health.json")
+        else:
+            root = Path(run_dir)
+            root.mkdir(parents=True, exist_ok=True)
+        rounds = [round_fn(config, i, root) for i in range(config.rounds)]
+        report = HealthReport(
+            seed=config.seed,
+            rounds=rounds,
+            elapsed_s=time.perf_counter() - start,
+            mode=mode,
+            config=asdict(config),
+        )
+    if run_dir is not None:
+        report.save(root / "health.json")
     return report
 
 

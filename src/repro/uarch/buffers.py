@@ -67,9 +67,6 @@ class TransferBuffer:
         """Schedule entry ``seq`` to be reusable starting at ``cycle``."""
         heapq.heappush(self._pending_free, (cycle, seq))
 
-    def free_now(self, seq: int) -> None:
-        self.entries.pop(seq, None)
-
     def tick(self, cycle: int) -> None:
         """Release every entry whose free cycle has arrived (<= ``cycle``)."""
         pending = self._pending_free

@@ -46,15 +46,6 @@ class IssueRules:
     memory: int
     control: int
 
-    def limit_for(self, iclass: InstrClass) -> int:
-        if iclass.is_integer:
-            return self.integer
-        if iclass.is_fp:
-            return self.floating_point
-        if iclass.is_memory:
-            return self.memory
-        return self.control
-
 
 @dataclass(frozen=True)
 class LatencyModel:

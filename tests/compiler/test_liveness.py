@@ -67,21 +67,6 @@ class TestLoops:
 
 
 class TestPerInstruction:
-    def test_live_before_each(self):
-        b = ProgramBuilder("p")
-        b.block("b0")
-        b.op(Opcode.LDA, "a", imm=1)       # 0
-        b.op(Opcode.LDA, "b", imm=2)       # 1
-        b.op(Opcode.ADDQ, "c", "a", "b")   # 2
-        b.op(Opcode.ADDQ, "d", "c", "c")   # 3
-        prog = b.build()
-        info = LivenessInfo(prog)
-        live = info.live_before_each("b0")
-        a, bb, c = (prog.value_named(n) for n in "abc")
-        assert a in live[2] and bb in live[2]
-        assert c in live[3]
-        assert a not in live[3]  # a dies at instruction 2
-
     def test_diamond_merges_liveness(self):
         b = ProgramBuilder("p")
         b.block("entry")

@@ -76,10 +76,10 @@ class TestMaps:
         lrs = build_live_ranges(prog)
         t = prog.value_named("t")
         instrs = list(prog.all_instructions())
-        web0 = lrs.range_for_def(instrs[0].uid, t)
-        assert lrs.range_for_use(instrs[1].uid, t) is web0
-        web1 = lrs.range_for_def(instrs[2].uid, t)
-        assert lrs.range_for_use(instrs[3].uid, t) is web1
+        web0 = lrs.def_map[(instrs[0].uid, t)]
+        assert lrs.use_map[(instrs[1].uid, t)] is web0
+        web1 = lrs.def_map[(instrs[2].uid, t)]
+        assert lrs.use_map[(instrs[3].uid, t)] is web1
         assert web0 is not web1
 
     def test_entry_live_value_gets_a_range(self):
@@ -131,7 +131,7 @@ class TestDesignation:
         prog = b.build()
         lrs = build_live_ranges(prog)
         designate_global_candidates(lrs)
-        assert len(lrs.global_candidates()) == 1
+        assert len([lr for lr in lrs if lr.global_candidate]) == 1
         assert len(lrs.local_candidates()) == len(lrs) - 1
 
 

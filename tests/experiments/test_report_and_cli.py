@@ -84,6 +84,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["ablations", "--sweeps", "bogus"])
 
+    def test_width_sweep_prints_the_4way_companion(self, capsys):
+        from repro.cli import main
+
+        main(["ablations", "--benchmark", "su2cor", "--trace-length", "1000",
+              "--sweeps", "width"])
+        out = capsys.readouterr().out
+        assert "8-way vs 2x4-way" in out and "4-way vs 2x2-way" in out
+
     def test_figure6_command_runs(self, capsys):
         from repro.cli import main
 

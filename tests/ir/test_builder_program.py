@@ -90,17 +90,6 @@ class TestProgram:
         uids = [i.uid for i in prog.all_instructions()]
         assert uids == [0, 1, 2]
 
-    def test_block_of_uid(self):
-        b = ProgramBuilder("p")
-        b.block("b0")
-        b.op(Opcode.LDA, "x", imm=0)
-        b.block("b1")
-        b.op(Opcode.ADDQ, "z", "x", "x")
-        prog = b.build()
-        mapping = prog.block_of_uid()
-        assert mapping[0] == "b0"
-        assert mapping[1] == "b1"
-
     def test_instruction_count(self):
         b = ProgramBuilder("p")
         b.block("b0")

@@ -20,7 +20,8 @@ class TestAllocation:
         buf.allocate(2, 0)
         assert buf.occupancy == 2
         assert buf.stats.peak_occupancy == 2
-        buf.free_now(1)
+        buf.free_at(1, 0)
+        buf.tick(0)
         assert buf.occupancy == 1
         assert buf.stats.peak_occupancy == 2
 
@@ -49,12 +50,6 @@ class TestScheduledFree:
         buf.free_at(1, 3)
         buf.free_at(2, 5)
         buf.tick(10)
-        assert buf.occupancy == 0
-
-    def test_free_now(self):
-        buf = TransferBuffer(1, "t")
-        buf.allocate(9, 0)
-        buf.free_now(9)
         assert buf.occupancy == 0
 
 

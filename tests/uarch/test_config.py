@@ -1,7 +1,7 @@
 """Tests for machine configurations (Table 1, experiment E1)."""
 
 from repro.core.registers import RegisterAssignment
-from repro.isa.opcodes import InstrClass, Opcode
+from repro.isa.opcodes import Opcode
 from repro.uarch.config import (
     DUAL_ISSUE_RULES,
     LatencyModel,
@@ -20,22 +20,19 @@ class TestTable1IssueRules:
         """Row 1 of Table 1: 8 total, 8 int, 4 fp, 4 ld/st, 4 control."""
         rules = SINGLE_ISSUE_RULES
         assert rules.total == 8
-        assert rules.limit_for(InstrClass.INT_OTHER) == 8
-        assert rules.limit_for(InstrClass.INT_MULTIPLY) == 8
-        assert rules.limit_for(InstrClass.FP_OTHER) == 4
-        assert rules.limit_for(InstrClass.FP_DIVIDE) == 4
-        assert rules.limit_for(InstrClass.LOAD) == 4
-        assert rules.limit_for(InstrClass.STORE) == 4
-        assert rules.limit_for(InstrClass.CONTROL) == 4
+        assert rules.integer == 8
+        assert rules.floating_point == 4
+        assert rules.memory == 4
+        assert rules.control == 4
 
     def test_dual_cluster_row(self):
         """Row 2 of Table 1: per cluster 4 total, 4 int, 2 fp, 2 ld/st, 2 cf."""
         rules = DUAL_ISSUE_RULES
         assert rules.total == 4
-        assert rules.limit_for(InstrClass.INT_OTHER) == 4
-        assert rules.limit_for(InstrClass.FP_OTHER) == 2
-        assert rules.limit_for(InstrClass.LOAD) == 2
-        assert rules.limit_for(InstrClass.CONTROL) == 2
+        assert rules.integer == 4
+        assert rules.floating_point == 2
+        assert rules.memory == 2
+        assert rules.control == 2
 
 
 class TestTable1Latencies:

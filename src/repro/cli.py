@@ -4,13 +4,8 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
 
     python -m repro table2 [--trace-length N] [--benchmarks a b ...] [--jobs N]
                            [--retries N] [--resume DIR] [--shard NAME]
-                           [--executor supervised|distributed]
                            [--task-timeout S] [--redispatch-budget N]
-                           [--dist-port P] [--dist-min-hosts N] [--dist-wait S]
                            [--spans] [--spans-dir DIR]
-    python -m repro worker serve --connect HOST:PORT [--host NAME]
-                           [--run-dir DIR] [--cache-dir DIR]
-                           [--fault-plan FILE] [--connect-retries N]
     python -m repro scenarios
     python -m repro figure6 [--sweep] [--jobs N] [--resume DIR]
     python -m repro cycle-time [--trace-length N] [--jobs N]
@@ -23,7 +18,7 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
                             [--resume DIR]
     python -m repro replay BUNDLE.json
     python -m repro chaos [--quick] [--seed N] [--rounds N] [--run-dir DIR]
-                          [--worker-faults] [--host-faults [--hosts N]]
+                          [--worker-faults]
     python -m repro journal merge SHARD [SHARD ...] --output DIR [--dry-run]
     python -m repro spans summarize RUN_DIR
     python -m repro spans export RUN_DIR [--format chrome] --output FILE
@@ -132,14 +127,9 @@ def _evaluation_options(args: argparse.Namespace):
         jobs=getattr(args, "jobs", 1),
         cache=_make_cache(args),
         retry=_make_retry(args),
-        executor=getattr(args, "executor", "supervised"),
         task_timeout=getattr(args, "task_timeout", None),
         redispatch_budget=getattr(args, "redispatch_budget", 2),
         engine=getattr(args, "engine", None),
-        dist_host=getattr(args, "dist_bind", "127.0.0.1"),
-        dist_port=getattr(args, "dist_port", 0),
-        dist_min_hosts=getattr(args, "dist_min_hosts", 1),
-        dist_wait_s=getattr(args, "dist_wait", 10.0),
         spans=_make_spans(args),
     )
 
@@ -452,46 +442,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     """The fan-out knobs; only the Table 2 sweeps (``table2``,
     ``cycle-time``) read them, through :func:`_evaluation_options`."""
     parser.add_argument(
-        "--executor",
-        choices=["supervised", "distributed"],
-        default="supervised",
-        help="sweep fan-out engine for --jobs != 1: 'supervised' runs "
-        "local worker processes with per-task deadlines, dead/wedged-"
-        "worker detection, and bounded re-dispatch; 'distributed' "
-        "coordinates 'repro worker serve' daemons over TCP with "
-        "host-loss tolerance (both bit-identical to serial)",
-    )
-    parser.add_argument(
-        "--dist-bind",
-        default="127.0.0.1",
-        metavar="HOST",
-        help="distributed executor: interface to listen on for workers "
-        "(use 0.0.0.0 to accept workers from other machines)",
-    )
-    parser.add_argument(
-        "--dist-port",
-        type=int,
-        default=0,
-        metavar="P",
-        help="distributed executor: TCP port to listen on for workers "
-        "(0 = OS-assigned; the chosen port is logged at startup)",
-    )
-    parser.add_argument(
-        "--dist-min-hosts",
-        type=int,
-        default=1,
-        metavar="N",
-        help="distributed executor: hosts to wait for before dispatching",
-    )
-    parser.add_argument(
-        "--dist-wait",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="distributed executor: seconds to wait for --dist-min-hosts "
-        "before degrading to local execution",
-    )
-    parser.add_argument(
         "--task-timeout",
         type=float,
         default=None,
@@ -557,7 +507,7 @@ def _add_resilience_flags(
         default=None,
         metavar="NAME",
         help="journal into journal-NAME.jsonl inside the --resume "
-        "directory (one shard per executor/host); fold shards together "
+        "directory (one shard per run or host); fold shards together "
         "later with 'repro journal merge'",
     )
 
@@ -569,7 +519,7 @@ def _add_span_flags(parser: argparse.ArgumentParser) -> None:
         help="emit orchestration spans (sweep/task/compile/tracegen/"
         "simulate + executor dispatch) as spans.jsonl next to the "
         "journal; deterministic spans are bit-identical across serial, "
-        "--jobs, --resume, and distributed runs",
+        "--jobs, --resume, and sharded runs",
     )
     parser.add_argument(
         "--spans-dir",
@@ -836,72 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker_stall, worker_partition) against the supervised "
         "executor, asserting bit-identity to a serial reference",
     )
-    ch.add_argument(
-        "--host-faults",
-        action="store_true",
-        help="inject host-level faults instead (host_kill, host_stall, "
-        "host_partition) against the distributed executor: each round "
-        "launches real localhost worker subprocesses, sabotages them, "
-        "and asserts bit-identity plus clean shard merges",
-    )
-    ch.add_argument(
-        "--hosts",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker subprocesses per --host-faults round (>= 2)",
-    )
     ch.set_defaults(func=_cmd_chaos)
-
-    wk = sub.add_parser(
-        "worker", help="distributed sweep worker daemon (one per host)"
-    )
-    wk_sub = wk.add_subparsers(dest="worker_command", required=True)
-    ws = wk_sub.add_parser(
-        "serve",
-        help="connect to a coordinator and execute leased sweep tasks "
-        "until it says shutdown (or vanishes)",
-    )
-    ws.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="the coordinator's listen address (the sweep side prints it; "
-        "see --executor distributed / --dist-port)",
-    )
-    ws.add_argument(
-        "--host",
-        default=None,
-        metavar="NAME",
-        help="host identity for leases, metrics labels, and the journal "
-        "shard name (default: hostname-pid)",
-    )
-    ws.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="journal completed rows into journal-<host>.jsonl here "
-        "(durable on this host before each result is sent); fold shards "
-        "with 'repro journal merge'",
-    )
-    ws.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="artifact cache directory for this worker")
-    ws.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="FILE",
-        help="JSON FaultPlan of host faults to self-inject at task "
-        "pickup (chaos/CI only)",
-    )
-    ws.add_argument(
-        "--connect-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="attempts to reach the coordinator before giving up "
-        "(0.25s apart; default 40)",
-    )
-    ws.set_defaults(func=_cmd_worker_serve)
 
     jn = sub.add_parser(
         "journal", help="operate on run-directory journals (sharded sweeps)"
@@ -976,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp = sub.add_parser(
         "top",
         help="live terminal view of a sweep's run directory: per-shard "
-        "progress, host leases, cache health, degradation events",
+        "progress, cache health, degradation events",
     )
     tp.add_argument("run_dir", metavar="RUN_DIR")
     tp.add_argument(
@@ -1073,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # -v/--quiet on every (nested) subcommand so the flags work on
     # either side of the command words.
-    for command_parser in set(sub.choices.values()) | {jm, ws, ss, se}:
+    for command_parser in set(sub.choices.values()) | {jm, ss, se}:
         _add_logging_flags(command_parser, suppress=True)
     return parser
 
@@ -1115,8 +1000,6 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
             trace_length=800,
             jobs=args.jobs,
             worker_faults=args.worker_faults,
-            host_faults=args.host_faults,
-            hosts=args.hosts,
         )
     else:
         config = ChaosConfig(
@@ -1126,8 +1009,6 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
             trace_length=args.trace_length,
             jobs=args.jobs,
             worker_faults=args.worker_faults,
-            host_faults=args.host_faults,
-            hosts=args.hosts,
         )
     report = run_chaos(config, run_dir=args.run_dir)
     print(report.format())
@@ -1208,21 +1089,6 @@ def _cmd_journal_merge(args: argparse.Namespace) -> None:
     print(report.format())
     if args.dry_run:
         print("dry run: nothing written")
-
-
-def _cmd_worker_serve(args: argparse.Namespace) -> None:
-    from repro.dist.worker import DEFAULT_CONNECT_RETRIES, serve_worker
-
-    retries = args.connect_retries
-    report = serve_worker(
-        args.connect,
-        host=args.host,
-        run_dir=args.run_dir,
-        cache_dir=args.cache_dir,
-        fault_plan_file=args.fault_plan,
-        connect_retries=DEFAULT_CONNECT_RETRIES if retries is None else retries,
-    )
-    print(report.format())
 
 
 def _cmd_report(args: argparse.Namespace) -> None:

@@ -189,17 +189,14 @@ class EvaluationOptions:
     #: every row (deterministic; tests).  Excluded from
     #: ``options_fingerprint`` — heartbeats never change row values.
     heartbeat_interval: Optional[float] = 5.0
-    #: Sweep executor (``repro.perf.executor``) for ``jobs != 1``:
-    #: ``"supervised"`` is the local process pool with per-task
-    #: deadlines, dead/wedged-worker detection, and bounded re-dispatch;
-    #: ``"distributed"`` coordinates ``repro worker serve`` daemons over
-    #: TCP.  All of these executor knobs are excluded from
+    #: Knobs of the supervised sweep executor (``repro.perf.executor``)
+    #: for ``jobs != 1``.  All of them are excluded from
     #: ``options_fingerprint``: the executor decides *how* rows are
     #: computed, never their values (re-dispatch and the degraded serial
     #: path are bit-identical).
-    executor: str = "supervised"
-    #: Per-task deadline in seconds for the supervised executor;
-    #: ``None`` derives one from ``trace_length``.
+    #:
+    #: Per-task deadline in seconds; ``None`` derives one from
+    #: ``trace_length``.
     task_timeout: Optional[float] = None
     #: Re-dispatches allowed per task after a lost worker or expired
     #: deadline before the circuit breaker degrades the sweep to serial.
@@ -208,21 +205,11 @@ class EvaluationOptions:
     #: consulted by supervised *workers* at task pickup.  Stripped from
     #: the options shipped into workers' tasks so it cannot recurse.
     worker_fault_plan: Optional["FaultPlan"] = None
-    #: Distributed-executor knobs (``--executor distributed``): the
-    #: coordinator's bind address/port (``dist_port=0`` picks a free
-    #: port), how many worker hosts must register before dispatch, and
-    #: how long to wait for them before degrading to local execution.
-    #: Executor knobs like the rest: excluded from
-    #: ``options_fingerprint``, never value-determining.
-    dist_host: str = "127.0.0.1"
-    dist_port: int = 0
-    dist_min_hosts: int = 1
-    dist_wait_s: float = 10.0
     #: Orchestration span sink (``repro.obs.spans.SpanWriter``) for the
     #: sweep drivers; ``None`` disables span tracing.  Observational
     #: like heartbeats — excluded from ``options_fingerprint`` and
     #: stripped from the options shipped into workers (it holds an open
-    #: file; workers journal their own span shards instead).
+    #: file; the parent writes every span from the task results).
     spans: Optional["SpanWriter"] = None
 
     def apply_robustness(self, config: ProcessorConfig) -> ProcessorConfig:

@@ -209,7 +209,7 @@ def run_table2(
         journal = RunJournal(journal)
 
     # Span tracing: one content-derived trace id covers the serial,
-    # parallel, resumed, and distributed forms of this exact sweep.
+    # parallel, resumed, and sharded forms of this exact sweep.
     spans = options.spans
     if spans is not None:
         from repro.obs.spans import sweep_trace_id
@@ -252,8 +252,7 @@ def run_table2(
     # also what bundles and journal records describe: the parent-side
     # cache object is not shipped (each worker holds its own tier),
     # worker-fault injection must not recurse into the task itself, and
-    # the span writer's open file stays in the parent (distributed
-    # workers journal their own span shards via the task frame).
+    # the span writer's open file stays in the parent.
     sealed = replace(
         options, jobs=1, cache=None, worker_fault_plan=None, spans=None
     )
@@ -349,7 +348,6 @@ def run_table2(
         options.jobs,
         deliver,
         run_serial=run_serial,
-        kind=options.executor,
         journal=journal,
         cache_dir=options.cache.cache_dir if options.cache is not None else None,
         trace_length=options.trace_length,
@@ -359,10 +357,6 @@ def run_table2(
         seed=options.trace_seed,
         self_check=options.self_check,
         engine=options.engine,
-        dist_bind=options.dist_host,
-        dist_port=options.dist_port,
-        dist_min_hosts=options.dist_min_hosts,
-        dist_wait_s=options.dist_wait_s,
         spans=spans,
     )
 

@@ -382,41 +382,6 @@ def executor_metrics() -> MetricsRegistry:
     return reg
 
 
-def dist_metrics() -> MetricsRegistry:
-    """A registry pre-registered with the distributed-sweep counters.
-
-    The coordinator (:mod:`repro.dist.coordinator`) increments these as
-    hosts register, die, and have work re-dispatched.  Totals are
-    registered up front (explicit zeros on healthy runs); the
-    coordinator additionally creates per-host labeled series —
-    ``dist_host_tasks_completed{host="..."}`` and
-    ``dist_host_losses{host="..."}`` — as hosts register and fail, which
-    the Prometheus exporter renders as ordinary labeled samples.
-    """
-    reg = MetricsRegistry()
-    reg.counter("dist_hosts_registered",
-                "worker hosts that completed registration")
-    reg.counter("dist_host_losses",
-                "registered hosts lost (died, partitioned, or wedged)")
-    reg.counter("dist_dispatches",
-                "tasks handed to a host (re-dispatches included)")
-    reg.counter("dist_redispatches",
-                "tasks re-dispatched after a lost host or expired deadline")
-    reg.counter("dist_affinity_steals",
-                "tasks taken while another host held their affinity key")
-    reg.counter("dist_tasks_completed",
-                "task results delivered to the sweep")
-    reg.counter("dist_duplicate_results",
-                "late/duplicate results dropped by content-fingerprint dedup")
-    reg.counter("dist_lease_expirations",
-                "idle host leases that expired without a heartbeat")
-    reg.counter("dist_task_deadline_expirations",
-                "per-task deadlines that expired (wedged host or lost result)")
-    reg.counter("dist_degradations",
-                "cascade steps away from distributed execution")
-    return reg
-
-
 __all__ = [
     "DEFAULT_MAX_SAMPLES",
     "DEFAULT_SAMPLE_INTERVAL",
@@ -425,6 +390,5 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PipelineMetrics",
-    "dist_metrics",
     "executor_metrics",
 ]

@@ -2,10 +2,9 @@
 
 A :class:`Span` records one bounded unit of orchestration work —
 sweep, benchmark-part task, compile, trace generation, simulation,
-retry, gym trial/rung, executor dispatch, host lease, requeue — with
-correlation IDs (``trace_id``/``span_id``/``parent_id``) so every
-record of one sweep can be stitched back together across processes,
-shards, and hosts.
+retry, gym trial/rung, executor dispatch, requeue — with correlation
+IDs (``trace_id``/``span_id``/``parent_id``) so every record of one
+sweep can be stitched back together across processes and shards.
 
 Two span classes with different determinism contracts:
 
@@ -14,14 +13,14 @@ Two span classes with different determinism contracts:
   instructions compiled, trace entries generated, cycles simulated —
   laid out end-to-end on a per-task virtual timeline.  Their IDs are
   content fingerprints, so a serial run, a ``--jobs`` run, a SIGKILLed
-  + ``--resume``\\ d run, and a multi-host distributed run of the same
-  sweep all emit the **bit-identical** span set (after
+  + ``--resume``\\ d run, and a ``--shard`` run split across hosts of
+  the same sweep all emit the **bit-identical** span set (after
   ``repro journal merge`` folds and dedupes the shards).
 * **Wall-clock spans** (:data:`WALL_KINDS`) measure real scheduling
-  behaviour — dispatch latency, host-lease lifetimes, requeue storms,
-  degradations — in microseconds relative to a per-emitter monotonic
-  epoch.  They are intentionally run-specific and are kept out of the
-  canonical merged file (``spans-wall.jsonl``, not ``spans.jsonl``).
+  behaviour — dispatch latency, requeue storms, degradations — in
+  microseconds relative to a per-emitter monotonic epoch.  They are
+  intentionally run-specific and are kept out of the canonical merged
+  file (``spans-wall.jsonl``, not ``spans.jsonl``).
 
 Writers append one JSON object per line to per-shard sinks
 (``spans.jsonl`` / ``spans-<shard>.jsonl``) in the run directory, next
@@ -44,7 +43,7 @@ from repro.errors import ConfigError
 SPAN_SCHEMA = 1
 
 #: Content-derived spans: bit-identical across serial / parallel /
-#: resumed / distributed runs of the same sweep.
+#: resumed / sharded runs of the same sweep.
 DETERMINISTIC_KINDS = frozenset(
     {
         "sweep",
@@ -60,7 +59,7 @@ DETERMINISTIC_KINDS = frozenset(
 
 #: Wall-clock orchestration spans: real scheduling behaviour, excluded
 #: from the bit-identity contract and the canonical merged file.
-WALL_KINDS = frozenset({"dispatch", "host_lease", "requeue", "degradation"})
+WALL_KINDS = frozenset({"dispatch", "requeue", "degradation"})
 
 SPAN_KINDS = tuple(sorted(DETERMINISTIC_KINDS | WALL_KINDS))
 
@@ -175,10 +174,9 @@ def part_task_spans(
     The task's children are laid end-to-end on a task-relative virtual
     timeline — ``compile [0,c) → tracegen [c,c+t) → simulate
     [c+t,c+t+s)`` — with costs taken from the computation itself
-    (machine instructions, trace entries, simulated cycles), so the
-    driver rebuilding spans from a :class:`BenchmarkEvaluation` and a
-    distributed worker building them from its :class:`PartOutcome`
-    produce identical records that merge-dedupe into one.
+    (machine instructions, trace entries, simulated cycles), so every
+    run that rebuilds them from the same :class:`BenchmarkEvaluation`
+    produces identical records that merge-dedupe into one.
     """
     name = f"{benchmark}:{part}"
     costs = (int(compile_units), int(trace_units), int(sim_units))
@@ -312,32 +310,6 @@ def sweep_span(
     )
 
 
-def sweep_task_value_spans(trace_id: str, value: Any) -> list[Span]:
-    """Deterministic spans from one ``experiments.table2._sweep_task`` value.
-
-    This is the builder distributed workers resolve by name (the task
-    frame's ``span_fn``) to journal spans host-side before each result
-    is sent; the coordinator's driver rebuilds the same records from
-    the assembled evaluation, and the merge dedupes them by span_id.
-    """
-    try:
-        benchmark, part, outcome, *_ = value
-    except (TypeError, ValueError):
-        return []
-    sim = getattr(outcome, "sim", None)
-    compiled = getattr(outcome, "compile_result", None)
-    if sim is None or compiled is None:  # a BenchmarkFailure: driver-built
-        return []
-    return part_task_spans(
-        trace_id,
-        benchmark,
-        part,
-        compile_units=compiled.machine.instruction_count(),
-        trace_units=int(outcome.trace_length),
-        sim_units=int(sim.cycles),
-    )
-
-
 # ----------------------------------------------------------------- writer
 def span_file_name(shard: Optional[str] = None) -> str:
     if not shard:
@@ -398,8 +370,8 @@ class SpanWriter:
 
 
 class WallSpans:
-    """Wall-clock orchestration span emitter (dispatch, host leases,
-    requeues, degradations).
+    """Wall-clock orchestration span emitter (dispatch, requeues,
+    degradations).
 
     Times are integer microseconds relative to this emitter's monotonic
     epoch; IDs include a per-emitter sequence number, so wall spans are
@@ -775,7 +747,6 @@ __all__ = [
     "summarize_spans",
     "sweep_span",
     "sweep_span_id",
-    "sweep_task_value_spans",
     "sweep_trace_id",
     "validate_chrome_trace",
     "write_canonical_spans",

@@ -3,8 +3,9 @@
 Everything rendered here is read from the run directory's durable
 records — journal shards (rows, heartbeats, degradation events) and
 span files — never from the sweep process itself, so ``repro top`` can
-watch a sweep it does not own: a local ``--jobs`` run, a coordinator
-plus remote worker shards, or a finished directory being post-mortemed.
+watch a sweep it does not own: a local ``--jobs`` run, the shards of
+``--shard`` runs on several hosts, or a finished directory being
+post-mortemed.
 
 The renderer is a pure function of the directory contents
 (:func:`render_status`), which is what the tests exercise; the CLI loop

@@ -15,9 +15,9 @@ deterministically reproducible inputs.  This package exploits both axes:
 * :mod:`repro.perf.parallel` — the one sweep driver behind every
   ``--jobs N`` sweep (Table 2, ablations, Figure 6 sweeps,
   reassignment, design-space search);
-* :mod:`repro.perf.executor` — the ``SweepExecutor`` interface under
-  the driver and the supervised process pool (per-task deadlines,
-  re-dispatch of lost tasks, circuit breaker).
+* :mod:`repro.perf.executor` — the supervised process pool under the
+  driver (task ledger, per-task deadlines, re-dispatch of lost tasks,
+  circuit breaker).
 
 Timing lives outside the package: ``benchmarks/e2e`` measures the
 sweeps end to end and layer by layer.

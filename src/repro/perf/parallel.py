@@ -12,7 +12,7 @@ final results crosses the process boundary.
 :func:`fan_out` is the one driver: it resolves ``jobs``, runs serially
 in-process (no worker is started) for ``jobs == 1`` or a single task,
 and otherwise submits every task to a
-:class:`~repro.perf.executor.SweepExecutor` built by
+:class:`~repro.perf.executor.SupervisedPoolExecutor` built by
 :func:`~repro.perf.executor.make_sweep_executor` and hands each result
 to the caller the moment it arrives.  :func:`run_sweep` layers the
 generic points on top (journal reuse and per-point journaling);
@@ -45,12 +45,12 @@ Design notes:
   ``--resume`` recomputes only the missing units.  Workers ignore SIGINT
   themselves: the parent owns cancellation, so a Ctrl-C delivered to the
   process group cannot half-kill the pool.
-* The default executor is ``supervised``: per-task deadlines (derived
-  from each sweep's trace length, simulations per task, engine and
-  self-check by :func:`~repro.perf.executor.default_task_timeout`),
-  dead/wedged-worker detection, bounded re-dispatch, and a circuit
-  breaker that finishes the sweep serially instead of hanging.  Table 2
-  can also pick ``distributed`` (:mod:`repro.dist.coordinator`).
+* The executor is supervised: per-task deadlines (derived from each
+  sweep's trace length, simulations per task, engine and self-check by
+  :func:`~repro.perf.executor.default_task_timeout`), dead/wedged-worker
+  detection, bounded re-dispatch, and a circuit breaker that finishes
+  the sweep serially instead of hanging.  Several hosts split a sweep
+  with ``--shard`` and fold the shards with ``repro journal merge``.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ def fan_out(
     deliver: Callable[[SweepTask, Any], None],
     *,
     run_serial: Callable[[SweepTask], Any],
-    kind: str = "supervised",
     journal=None,
     cache_dir=None,
     spans=None,
@@ -146,7 +145,7 @@ def fan_out(
     ``jobs`` goes through :func:`resolve_jobs`.  One job (or a single
     task) runs ``run_serial(task)`` for each task in order, in-process.
     Otherwise ``task_fn`` (module-level; it receives
-    ``task.payload()``) runs in the workers of an executor of ``kind``,
+    ``task.payload()``) runs in the workers of the supervised executor
     built by :func:`~repro.perf.executor.make_sweep_executor` from
     ``cache_dir``, ``spans`` and ``executor_options``.  Either way
     ``deliver(task, value)`` fires in the parent as each result
@@ -165,7 +164,6 @@ def fan_out(
             deliver(task, run_serial(task))
         return
     sweep = make_sweep_executor(
-        kind,
         task_fn,
         min(jobs, len(tasks)),
         cache_dir,
@@ -194,9 +192,8 @@ def fan_out(
         if journal is not None:
             journal.record_event("executor_degradation", degradation.as_dict())
     if spans is not None:
-        # Final executor metrics — including the distributed
-        # coordinator's per-host labeled series — land next to the span
-        # files, in the Prometheus text format 'repro stats' also speaks.
+        # Final executor metrics land next to the span files, in the
+        # Prometheus text format 'repro stats' also speaks.
         from repro.obs.export import write_prometheus
 
         write_prometheus(spans.run_dir / "executor-metrics.prom", sweep.metrics)

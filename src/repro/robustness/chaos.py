@@ -36,12 +36,11 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import ConfigError
 from repro.robustness.atomicio import atomic_write_json
 from repro.robustness.faultinject import (
-    HOST_FAULT_KINDS,
     RUNTIME_FAULT_KINDS,
     TRACE_FAULT_KINDS,
     WORKER_FAULT_KINDS,
@@ -49,10 +48,6 @@ from repro.robustness.faultinject import (
     FaultSpec,
 )
 from repro.robustness.retry import RetryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.table2 import Table2Result
-    from repro.robustness.journal import RunJournal
 
 #: Bump when the health-report layout changes incompatibly.
 HEALTH_SCHEMA = 1
@@ -87,25 +82,8 @@ class ChaosConfig:
     #: identity* to a serial reference — a lost worker must not change a
     #: single stat — plus the usual journal-consistency contract.
     worker_faults: bool = False
-    #: Inject host-level faults (host_kill / host_stall / host_partition)
-    #: against the distributed executor: each round launches real worker
-    #: *subprocesses* on localhost, sabotages them at task pickup, and
-    #: asserts the same bit-identity and journal contracts as worker
-    #: rounds — plus that the per-host journal shards merge cleanly.
-    host_faults: bool = False
-    #: Worker subprocesses per host-fault round.
-    hosts: int = 2
 
     def __post_init__(self) -> None:
-        if self.worker_faults and self.host_faults:
-            raise ConfigError(
-                "chaos runs one fault family per soak: choose worker_faults "
-                "or host_faults, not both"
-            )
-        if self.host_faults and self.hosts < 2:
-            raise ConfigError(
-                f"host-fault chaos needs >= 2 worker hosts, got {self.hosts}"
-            )
         if self.rounds < 1:
             raise ConfigError(f"chaos rounds must be >= 1, got {self.rounds}")
         if self.max_faults < 1:
@@ -190,39 +168,6 @@ def random_worker_fault_plan(
     return FaultPlan(specs=tuple(specs))
 
 
-def random_host_fault_plan(
-    rng: random.Random,
-    benchmarks: tuple[str, ...],
-    max_faults: int,
-) -> FaultPlan:
-    """Draw a seeded host-level fault schedule for one distributed round.
-
-    The host mirror of :func:`random_worker_fault_plan`: a killed host
-    process (the TCP connection drops), a wedged host (the coordinator's
-    task deadline expires its lease), and a partitioned host (drops the
-    socket mid-task — the work may be done and journaled, but the result
-    never crosses the network, so dedup must catch any late copy).
-    Mostly transient (``clear_after=1``: the re-dispatch lands on a
-    surviving host), occasionally persistent (``None``: the task takes
-    down host after host until the coordinator's cascade falls back to
-    local execution) — every path must end bit-identical to serial.
-    Faults key on ``(benchmark, part, dispatch)``, never on a host name,
-    so the schedule is deterministic regardless of which host happens to
-    lease a task first.
-    """
-    specs = []
-    for _ in range(rng.randint(1, max_faults)):
-        specs.append(
-            FaultSpec(
-                kind=rng.choice(HOST_FAULT_KINDS),
-                benchmark=rng.choice(benchmarks),
-                part=rng.choice((None,) + _PARTS),
-                clear_after=rng.choice((1, 1, 2, None)),
-            )
-        )
-    return FaultPlan(specs=tuple(specs))
-
-
 @dataclass
 class RoundReport:
     """What one chaos round did and whether the contract held."""
@@ -241,8 +186,7 @@ class RoundReport:
     #: bundles that did not reproduce, unloadable journal rows.
     violations: list[str] = field(default_factory=list)
     #: Which harness produced the round: ``"fault-injection"``
-    #: (simulation-level faults), ``"worker-faults"`` (executor-level),
-    #: or ``"host-faults"`` (distributed, host-level).
+    #: (simulation-level faults) or ``"worker-faults"`` (executor-level).
     mode: str = "fault-injection"
 
     @property
@@ -257,14 +201,14 @@ class HealthReport:
     seed: int
     rounds: list[RoundReport]
     elapsed_s: float
-    #: Which harness produced the soak: ``"fault-injection"``,
-    #: ``"worker-faults"``, or ``"host-faults"``.
+    #: Which harness produced the soak: ``"fault-injection"`` or
+    #: ``"worker-faults"``.
     mode: str = "fault-injection"
     #: The full :class:`ChaosConfig` as primitives.  Together with
     #: ``seed`` (and each round's recorded fault plan) this makes a
     #: failing round reproducible from the report alone: rebuild
     #: ``ChaosConfig(**config)`` and rerun — the same seeded PRNG draws
-    #: the same executor/host fault schedules.
+    #: the same fault schedules.
     config: dict = field(default_factory=dict)
     schema: int = HEALTH_SCHEMA
 
@@ -416,33 +360,24 @@ def _stats_fingerprints(result) -> dict[str, dict[str, str]]:
     }
 
 
-def _run_executor_round(
-    config: ChaosConfig,
-    round_index: int,
-    run_dir: Path,
-    plan: FaultPlan,
-    fault: str,
-    executor: str,
-    shard_label: str,
-    faulted_sweep: Callable[[dict, Path, "RunJournal"], "Table2Result"],
-    extra_contracts: Optional[Callable[[Path], list[str]]] = None,
+def _run_worker_round(
+    config: ChaosConfig, round_index: int, run_dir: Path
 ) -> RoundReport:
-    """One executor-level chaos round: a faulted sweep vs serial truth.
+    """One worker-fault round: the supervised executor under a seeded
+    worker-fault plan vs serial truth.
 
-    The contract is stricter than the fault-injection rounds': executor
-    faults (``fault`` names the kind: worker or host) happen *outside*
-    the simulation, so nothing may degrade — every benchmark must
-    complete, with every stat bit-identical (``stats_fingerprint``) to a
-    serial reference sweep, and the round's shard journal must reload
-    with no torn line and every row loadable.
-    ``faulted_sweep(base_options, round_dir, journal)`` runs the sweep
-    under the round's faults on the ``executor``; ``extra_contracts``
-    adds the mode's own violations.
+    The contract is stricter than the fault-injection rounds': worker
+    faults happen *outside* the simulation, so nothing may degrade —
+    every benchmark must complete, with every stat bit-identical
+    (``stats_fingerprint``) to a serial reference sweep, and the round's
+    shard journal must reload with no torn line and every row loadable.
     """
     from repro.experiments.harness import EvaluationOptions
     from repro.experiments.table2 import run_table2
     from repro.robustness.journal import RunJournal
 
+    rng = _round_rng(config.seed, round_index, salt="chaos-worker")
+    plan = random_worker_fault_plan(rng, config.benchmarks, config.max_faults)
     round_dir = run_dir / f"round-{round_index:02d}"
     round_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -458,7 +393,7 @@ def _run_executor_round(
             bundles_verified=0,
             elapsed_s=round(time.perf_counter() - start, 3),
             violations=violations,
-            mode=f"{fault}-faults",
+            mode="worker-faults",
         )
 
     base = dict(
@@ -470,18 +405,27 @@ def _run_executor_round(
         violations.append("serial reference run failed; cannot judge round")
         return report(0, len(reference.failures))
 
+    options = EvaluationOptions(
+        **base,
+        jobs=max(2, config.jobs),
+        # Generous for a healthy task, short enough that a stalled or
+        # partitioned worker costs seconds, not a CI-visible hang.
+        task_timeout=max(5.0, config.trace_length / 100.0),
+        redispatch_budget=2,
+        worker_fault_plan=plan,
+    )
     shard = f"chaos-{round_index:02d}"
     journal = RunJournal(round_dir, shard=shard)
     try:
-        result = faulted_sweep(base, round_dir, journal)
+        result = run_table2(list(config.benchmarks), options, journal=journal)
     finally:
         journal.close()
 
-    # Contract 1: executor faults never leak into row outcomes — every
+    # Contract 1: worker faults never leak into row outcomes — every
     # benchmark completes, none degrades.
     for failure in result.failures:
         violations.append(
-            f"{failure.benchmark}: {fault} fault leaked into a row failure "
+            f"{failure.benchmark}: worker fault leaked into a row failure "
             f"({failure.error_type}: {failure.message})"
         )
     completed = {row.benchmark for row in result.rows}
@@ -489,7 +433,7 @@ def _run_executor_round(
         if name not in completed and not any(
             f.benchmark == name for f in result.failures
         ):
-            violations.append(f"{name}: row lost by the {executor} sweep")
+            violations.append(f"{name}: row lost by the supervised sweep")
 
     # Contract 2: bit identity — every stat of every part matches the
     # serial reference exactly.
@@ -502,17 +446,17 @@ def _run_executor_round(
             if want[name][part] != got[name][part]:
                 violations.append(
                     f"{name}/{part}: stats fingerprint diverged from the "
-                    f"serial reference under {fault} faults"
+                    "serial reference under worker faults"
                 )
 
     # Contract 3: the shard journal survived — only the sweep parent
-    # writes it, so a killed worker or host cannot tear it — and every
-    # completed row is loadable.
+    # writes it, so a killed worker cannot tear it — and every completed
+    # row is loadable.
     reopened = RunJournal(round_dir, shard=shard)
     try:
         if reopened.skipped_lines:
             violations.append(
-                f"{shard_label} has {reopened.skipped_lines} torn line(s)"
+                f"shard journal has {reopened.skipped_lines} torn line(s)"
             )
         for entry in reopened.entries():
             if entry.status == "completed" and reopened.load_artifact(entry) is None:
@@ -520,163 +464,7 @@ def _run_executor_round(
     finally:
         reopened.close()
 
-    if extra_contracts is not None:
-        violations.extend(extra_contracts(round_dir))
     return report(len(result.rows), len(result.failures))
-
-
-def _run_worker_round(
-    config: ChaosConfig, round_index: int, run_dir: Path
-) -> RoundReport:
-    """One worker-fault round: the supervised executor under the plan."""
-    from repro.experiments.harness import EvaluationOptions
-    from repro.experiments.table2 import run_table2
-
-    rng = _round_rng(config.seed, round_index, salt="chaos-worker")
-    plan = random_worker_fault_plan(rng, config.benchmarks, config.max_faults)
-
-    def supervised_sweep(base: dict, _round_dir: Path, journal):
-        options = EvaluationOptions(
-            **base,
-            jobs=max(2, config.jobs),
-            executor="supervised",
-            # Generous for a healthy task, short enough that a stalled or
-            # partitioned worker costs seconds, not a CI-visible hang.
-            task_timeout=max(5.0, config.trace_length / 100.0),
-            redispatch_budget=2,
-            worker_fault_plan=plan,
-        )
-        return run_table2(list(config.benchmarks), options, journal=journal)
-
-    return _run_executor_round(
-        config,
-        round_index,
-        run_dir,
-        plan,
-        fault="worker",
-        executor="supervised",
-        shard_label="shard journal",
-        faulted_sweep=supervised_sweep,
-    )
-
-
-def _free_port() -> int:
-    """A currently-free localhost TCP port for the round's coordinator."""
-    import socket
-
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _run_host_round(
-    config: ChaosConfig, round_index: int, run_dir: Path
-) -> RoundReport:
-    """One host-level chaos round: distributed sweep vs serial truth.
-
-    The full multi-host deployment, on localhost: real worker daemon
-    *subprocesses* (``repro worker serve``) each loaded with the round's
-    seeded host-fault plan, a real TCP coordinator, per-host journal
-    shards.  Contracts are the worker round's, plus one more: the
-    round's shards (coordinator + surviving hosts) must fold through
-    ``merge_journals`` into a resume-equivalent journal whose completed
-    row set covers every benchmark.
-    """
-    import json
-    import subprocess
-    import sys
-
-    from repro.experiments.harness import EvaluationOptions
-    from repro.experiments.table2 import run_table2
-    from repro.robustness.journal import RunJournal, merge_journals
-
-    rng = _round_rng(config.seed, round_index, salt="chaos-host")
-    plan = random_host_fault_plan(rng, config.benchmarks, config.max_faults)
-
-    def distributed_sweep(base: dict, round_dir: Path, journal):
-        plan_file = round_dir / "host-fault-plan.json"
-        plan_file.write_text(
-            json.dumps(plan.as_dict(), indent=2, sort_keys=True), encoding="utf-8"
-        )
-        port = _free_port()
-        workers = [
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "worker", "serve",
-                    "--connect", f"127.0.0.1:{port}",
-                    "--host", f"chaos-h{host_index}",
-                    "--run-dir", str(round_dir),
-                    "--fault-plan", str(plan_file),
-                    "--connect-retries", "120",
-                    "--quiet",
-                ]
-            )
-            for host_index in range(config.hosts)
-        ]
-        options = EvaluationOptions(
-            **base,
-            jobs=2,
-            executor="distributed",
-            # Generous for a healthy task, short enough that a stalled host
-            # costs seconds, not a CI-visible hang.
-            task_timeout=max(5.0, config.trace_length / 100.0),
-            redispatch_budget=2,
-            dist_port=port,
-            dist_min_hosts=config.hosts,
-            dist_wait_s=30.0,
-        )
-        try:
-            return run_table2(list(config.benchmarks), options, journal=journal)
-        finally:
-            # Reap the hosts: killed ones are gone, partitioned ones exited,
-            # stalled ones are wedged in their sleep loop forever by design.
-            for proc in workers:
-                if proc.poll() is None:
-                    proc.kill()
-            for proc in workers:
-                try:
-                    proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    pass
-
-    def merged_shards_cover_every_row(round_dir: Path) -> list[str]:
-        # Contract 4: coordinator + host shards merge into one
-        # resume-equivalent journal with a completed table2 row per
-        # benchmark — losing any host mid-run must not cost merged rows.
-        # SIGKILL'd hosts can tear their *own* shards; the merge
-        # tolerates that by design.
-        merged_dir = round_dir / "merged"
-        try:
-            merge_journals([round_dir], merged_dir)
-        except Exception as error:  # noqa: BLE001 - any damage is a violation
-            return [f"shard merge failed ({type(error).__name__}: {error})"]
-        violations: list[str] = []
-        merged = RunJournal(merged_dir)
-        try:
-            for name in config.benchmarks:
-                entry = merged.entry(f"table2:{name}")
-                if entry is None or not entry.completed:
-                    violations.append(
-                        f"{name}: merged journal is missing the completed row"
-                    )
-                elif merged.load_artifact(entry) is None:
-                    violations.append(f"{name}: merged journal row unloadable")
-        finally:
-            merged.close()
-        return violations
-
-    return _run_executor_round(
-        config,
-        round_index,
-        run_dir,
-        plan,
-        fault="host",
-        executor="distributed",
-        shard_label="coordinator shard",
-        faulted_sweep=distributed_sweep,
-        extra_contracts=merged_shards_cover_every_row,
-    )
 
 
 def run_chaos(
@@ -692,9 +480,7 @@ def run_chaos(
     then.
     """
     config = config or ChaosConfig()
-    if config.host_faults:
-        round_fn, mode = _run_host_round, "host-faults"
-    elif config.worker_faults:
+    if config.worker_faults:
         round_fn, mode = _run_worker_round, "worker-faults"
     else:
         round_fn, mode = _run_round, "fault-injection"
@@ -726,7 +512,6 @@ __all__ = [
     "HealthReport",
     "RoundReport",
     "random_fault_plan",
-    "random_host_fault_plan",
     "random_worker_fault_plan",
     "run_chaos",
 ]

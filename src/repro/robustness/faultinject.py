@@ -235,13 +235,8 @@ RUNTIME_FAULT_KINDS = (
 TRACE_FAULT_KINDS = ("truncate_trace", "corrupt_operand")
 #: Executor-level worker faults (injected at task pickup in a supervised
 #: worker, never inside the simulation): a SIGKILL'd worker, a wedged
-#: worker, and a result dropped after computation (a "partitioned" host).
+#: worker, and a result dropped after computation (a "partitioned" worker).
 WORKER_FAULT_KINDS = ("worker_kill", "worker_stall", "worker_partition")
-#: Host-level faults (injected at task pickup in a distributed worker
-#: daemon, never inside the simulation): a SIGKILL'd host process, a
-#: wedged host, and a network partition (the socket dropped mid-task,
-#: the work possibly done but the result unreachable).
-HOST_FAULT_KINDS = ("host_kill", "host_stall", "host_partition")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,12 +260,7 @@ class FaultSpec:
     clear_after: Optional[int] = None
 
     def __post_init__(self) -> None:
-        valid = (
-            RUNTIME_FAULT_KINDS
-            + TRACE_FAULT_KINDS
-            + WORKER_FAULT_KINDS
-            + HOST_FAULT_KINDS
-        )
+        valid = RUNTIME_FAULT_KINDS + TRACE_FAULT_KINDS + WORKER_FAULT_KINDS
         if self.kind not in valid:
             from repro.errors import ConfigError
 
@@ -372,31 +362,12 @@ class FaultPlan:
         ``dispatch`` is the executor's 0-based dispatch count for the
         task, so ``clear_after=1`` kills the first worker that picks the
         task up and lets the re-dispatch through clean — the transient
-        host loss the supervised executor exists to survive, while
+        worker loss the supervised executor exists to survive, while
         ``clear_after=None`` models a persistently poisoned task that
         must trip the circuit breaker.
         """
         for spec in self.specs:
             if spec.kind in WORKER_FAULT_KINDS and spec.active(
-                benchmark, part, dispatch
-            ):
-                return spec.kind
-        return None
-
-    def host_fault(
-        self, benchmark: str, part: str, dispatch: int
-    ) -> Optional[str]:
-        """The active host-fault kind for this task dispatch, if any.
-
-        The distributed worker daemon's mirror of :meth:`worker_fault`:
-        ``dispatch`` is the coordinator's 0-based dispatch count, so
-        ``clear_after=1`` takes down the first *host* that leases the
-        task and lets the re-dispatch (on a surviving host) through
-        clean, while ``clear_after=None`` poisons the task on every host
-        until the coordinator's cascade gives up on remote execution.
-        """
-        for spec in self.specs:
-            if spec.kind in HOST_FAULT_KINDS and spec.active(
                 benchmark, part, dispatch
             ):
                 return spec.kind

@@ -33,11 +33,6 @@ class TestReport:
 
 #: The fan-out flags only the Table 2 sweeps read, each with a valid value.
 EXECUTOR_FLAGS = {
-    "--executor": "distributed",
-    "--dist-bind": "0.0.0.0",
-    "--dist-port": "9100",
-    "--dist-min-hosts": "2",
-    "--dist-wait": "5",
     "--task-timeout": "30",
     "--redispatch-budget": "3",
 }
@@ -64,6 +59,28 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         # The Table 2 sweep still reads every one of them.
         assert parser.parse_args(["table2", flag, value]).command == "table2"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--executor", "supervised"],
+            ["table2", "--dist-bind", "0.0.0.0"],
+            ["table2", "--dist-port", "9100"],
+            ["table2", "--dist-min-hosts", "2"],
+            ["table2", "--dist-wait", "5"],
+            ["chaos", "--host-faults"],
+            ["chaos", "--hosts", "2"],
+            ["worker", "serve", "--connect", "127.0.0.1:9100"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_sweep_has_one_transport(self, argv, capsys):
+        # Multi-host sweeps are --shard plus 'repro journal merge'; no
+        # option or command selects another sweep transport.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err
 
     def test_parser_subcommands(self):
         parser = build_parser()

@@ -125,14 +125,3 @@ class TestLabelEscaping:
         reg = MetricsRegistry()
         reg.counter("c_total", "c", host="node-1").inc(1)
         assert 'c_total{host="node-1"} 1' in prometheus_text(reg)
-
-    def test_distributed_registry_renders_per_host_series(self):
-        from repro.obs.metrics import dist_metrics
-
-        registry = dist_metrics()
-        registry.counter(
-            "dist_host_tasks_completed", "per-host tasks", host="h0"
-        ).inc(3)
-        text = prometheus_text(registry)
-        assert 'dist_host_tasks_completed{host="h0"} 3' in text
-        assert "# TYPE dist_tasks_completed counter" in text

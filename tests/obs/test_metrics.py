@@ -27,22 +27,6 @@ class TestRegistry:
         assert c0 is not c1
         assert c0.key == 'repro_issued{cluster="0"}'
 
-    def test_dist_metrics_preregisters_totals(self):
-        from repro.obs.metrics import dist_metrics
-
-        reg = dist_metrics()
-        snapshot = reg.snapshot()
-        for name in (
-            "dist_hosts_registered", "dist_host_losses", "dist_dispatches",
-            "dist_redispatches", "dist_tasks_completed",
-            "dist_duplicate_results", "dist_lease_expirations",
-            "dist_task_deadline_expirations", "dist_degradations",
-        ):
-            assert snapshot[name] == 0  # explicit zeros on healthy runs
-        # Per-host series are labeled views over the same registry.
-        reg.counter("dist_host_tasks_completed", host="h0").inc()
-        assert reg.snapshot()['dist_host_tasks_completed{host="h0"}'] == 1
-
     def test_same_name_different_kind_rejected(self):
         reg = MetricsRegistry()
         reg.counter("repro_x")

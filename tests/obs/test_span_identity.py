@@ -2,22 +2,17 @@
 
 Spans carry content-derived IDs and virtual work-unit times, so a Table
 2 sweep must leave the *same* canonical deterministic span set no matter
-how it was orchestrated: serially, across a thread pool, resumed after a
-kill mid-run, or sharded across two worker hosts and folded back with
-``repro journal merge``.  Each test here compares canonical merged
+how it was orchestrated: serially, across ``--jobs`` worker processes,
+resumed after a kill mid-run, or run as two ``--shard`` journals in one
+run directory and folded back with ``repro journal merge``.  Each test here compares canonical merged
 ``spans.jsonl`` files byte for byte against one serial reference.
 """
 
 import json
-import os
-import socket
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import repro
 from repro.experiments.harness import EvaluationOptions
 from repro.experiments.table2 import run_table2
 from repro.obs.spans import SpanWriter, load_run_spans, split_spans
@@ -26,7 +21,6 @@ from repro.robustness.journal import RunJournal, merge_journals
 
 TL = 600
 BENCHMARKS = ["compress", "ora"]
-SRC_DIR = Path(repro.__file__).resolve().parent.parent
 
 
 def _options(**overrides):
@@ -150,58 +144,24 @@ class TestKillResumeIdentity:
         assert _merged_spans(tmp_path, tmp_path / "merged") == serial_reference
 
 
-def _free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _spawn_worker(port, host, run_dir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker", "serve",
-            "--connect", f"127.0.0.1:{port}", "--host", host,
-            "--run-dir", str(run_dir), "--connect-retries", "120", "--quiet",
-        ],
-        env=env,
-    )
-
-
-class TestDistributedIdentity:
-    def test_two_host_sweep_merges_bit_identical(self, tmp_path, serial_reference):
-        """Two worker processes journal their own span shards
-        (spans-<host>.jsonl); the coordinator journals the full driver
-        set; ``merge_journals`` folds all three into the serial bytes."""
-        port = _free_port()
-        workers = [_spawn_worker(port, f"h{i}", tmp_path) for i in range(2)]
-        try:
-            result = _run(
-                tmp_path,
-                shard="coord",
-                jobs=2,
-                executor="distributed",
-                task_timeout=60.0,
-                dist_port=port,
-                dist_min_hosts=2,
-                dist_wait_s=60.0,
-            )
-        finally:
-            for proc in workers:
-                if proc.poll() is None:
-                    proc.kill()
-            for proc in workers:
-                proc.wait(timeout=10.0)
-        assert result.failures == []
-        # Workers journaled spans host-side before sending results.
-        worker_shards = sorted(tmp_path.glob("spans-h*.jsonl"))
-        assert [p.name for p in worker_shards] == [
-            "spans-h0.jsonl", "spans-h1.jsonl",
-        ]
-        assert all(p.stat().st_size > 0 for p in worker_shards)
-        assert _merged_spans(tmp_path, tmp_path / "merged") == serial_reference
-        # Wall-clock orchestration spans (dispatch, host leases) are
-        # real but land in the non-canonical sidecar.
-        _, wall = split_spans(load_run_spans(tmp_path / "merged"))
+class TestShardIdentity:
+    def test_two_shard_sweep_merges_bit_identical(self, tmp_path, serial_reference):
+        """Two ``--jobs 2`` sweeps journal into one run directory under
+        shards ``a`` and ``b``, as two hosts would; ``merge_journals``
+        folds both span shards into the serial bytes."""
+        for shard in ("a", "b"):
+            result = _run(tmp_path, shard=shard, jobs=2, task_timeout=60.0)
+            assert result.failures == []
+        shard_files = sorted(p.name for p in tmp_path.glob("spans-*.jsonl"))
+        assert shard_files == ["spans-a.jsonl", "spans-b.jsonl"]
+        merged = tmp_path / "merged"
+        assert _merged_spans(tmp_path, merged) == serial_reference
+        # Wall-clock orchestration spans (dispatch) are real but land
+        # only in the non-canonical sidecar.
+        _, wall = split_spans(load_run_spans(merged))
         assert wall and all(not s.deterministic for s in wall)
+        sidecar = [
+            json.loads(line)
+            for line in (merged / "spans-wall.jsonl").read_text().splitlines()
+        ]
+        assert len(sidecar) == len(wall)

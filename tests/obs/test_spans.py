@@ -5,7 +5,7 @@ compile results and evaluations (they only duck-type the few fields the
 span code reads), the wall-clock emitter gets a fake clock, and the
 chrome export round-trips through ``json.dumps``/``json.loads`` exactly
 as the CLI writes it.  The end-to-end identity contract (serial vs
-``--jobs`` vs resumed vs distributed) lives in ``test_span_identity``.
+``--jobs`` vs resumed vs sharded) lives in ``test_span_identity``.
 """
 
 import json
@@ -41,7 +41,6 @@ from repro.obs.spans import (
     sweep_span,
     sweep_span_id,
     sweep_trace_id,
-    sweep_task_value_spans,
     validate_chrome_trace,
     write_canonical_spans,
 )
@@ -98,7 +97,7 @@ class TestIds:
         from repro.experiments.harness import EvaluationOptions
 
         base = EvaluationOptions(trace_length=600)
-        wide = replace(base, jobs=8, executor="supervised")
+        wide = replace(base, jobs=8, task_timeout=5.0, redispatch_budget=0)
         assert sweep_trace_id("table2", base, ["ora"]) == sweep_trace_id(
             "table2", wide, ["ora"]
         )
@@ -159,29 +158,6 @@ class TestBuilders:
         assert root.parent_id is None
         assert root.duration_u == 6 + 60
         assert root.attrs["tasks"] == 2
-
-    def test_worker_builder_matches_driver_builder(self):
-        # The distributed worker builds from its PartOutcome; the driver
-        # from the assembled evaluation.  Same costs -> same span ids.
-        outcome = SimpleNamespace(
-            sim=SimpleNamespace(cycles=900),
-            compile_result=_compiled(300),
-            trace_length=500,
-        )
-        worker = sweep_task_value_spans(
-            TRACE, ("compress", "single", outcome, 1, None)
-        )
-        driver = part_task_spans(
-            TRACE, "compress", "single",
-            compile_units=300, trace_units=500, sim_units=900,
-        )
-        assert [s.as_dict() for s in worker] == [s.as_dict() for s in driver]
-
-    def test_worker_builder_skips_failures_and_garbage(self):
-        failure = SimpleNamespace(benchmark="x", error_type="E")  # no .sim
-        assert sweep_task_value_spans(TRACE, ("x", "single", failure, 1, None)) == []
-        assert sweep_task_value_spans(TRACE, "not-a-tuple") == []
-        assert sweep_task_value_spans(TRACE, ("short",)) == []
 
 
 class TestSpanRecord:
@@ -278,12 +254,12 @@ class TestWallSpans:
 
     def test_instant_and_close(self, tmp_path):
         writer, wall = self._wall(tmp_path)
-        wall.instant("requeue", "compress:single", reason="host-lost")
-        wall.begin(("host", "alpha"), "host_lease", "alpha")
+        wall.instant("requeue", "compress:single", reason="worker-lost")
+        wall.begin(("ticket", 7), "requeue", "compress:dual_none")
         wall.close(reason="shutdown")
         writer.close()
         spans = read_spans(writer.path)
-        assert [s.kind for s in spans] == ["requeue", "host_lease"]
+        assert [s.kind for s in spans] == ["requeue", "requeue"]
         assert spans[0].duration_u == 0
         assert spans[1].attrs["reason"] == "shutdown"
 

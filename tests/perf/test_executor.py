@@ -1,4 +1,4 @@
-"""The SweepExecutor interface: supervision, deadlines, re-dispatch."""
+"""The supervised sweep executor: supervision, deadlines, re-dispatch."""
 
 import os
 import time
@@ -49,24 +49,6 @@ def _run_all(executor, tasks):
 
 def _tasks(n=3):
     return [SweepTask(benchmark=f"b{i}", part="single") for i in range(n)]
-
-
-def _supervised(**kwargs):
-    return SupervisedPoolExecutor(_echo_task, jobs=1, **kwargs)
-
-
-def _distributed(**kwargs):
-    # With no worker attached it never dispatches: submit and cancel run
-    # on the shared ledger alone.
-    from repro.dist.coordinator import DistributedExecutor
-
-    return DistributedExecutor(_echo_task, jobs=1, **kwargs)
-
-
-#: The task-ledger contract holds for every executor.
-each_executor = pytest.mark.parametrize(
-    "make", [_supervised, _distributed], ids=["supervised", "distributed"]
-)
 
 
 class FakeClock:
@@ -189,7 +171,6 @@ class TestCircuitBreaker:
             EvaluationOptions(
                 trace_length=TL,
                 jobs=2,
-                executor="supervised",
                 task_timeout=60.0,
                 redispatch_budget=0,
                 worker_fault_plan=plan,
@@ -223,7 +204,6 @@ class TestAcceptanceWorkerKill:
             EvaluationOptions(
                 trace_length=TL,
                 jobs=2,
-                executor="supervised",
                 task_timeout=60.0,
                 worker_fault_plan=plan,
                 heartbeat_interval=None,
@@ -242,10 +222,6 @@ class TestAcceptanceWorkerKill:
 
 
 class TestFactoryAndTimeouts:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown sweep executor"):
-            make_sweep_executor("threads", _echo_task, 2)
-
     def test_default_timeout_scales_with_trace_length(self):
         assert default_task_timeout(0) == MIN_TASK_TIMEOUT
         assert default_task_timeout(120_000) > MIN_TASK_TIMEOUT
@@ -269,12 +245,10 @@ class TestFactoryAndTimeouts:
 
     def test_factory_derives_timeout_from_options(self):
         fast = make_sweep_executor(
-            "supervised", _echo_task, 1, trace_length=10 ** 6,
-            engine="batched",
+            _echo_task, 1, trace_length=10 ** 6, engine="batched"
         )
         slow = make_sweep_executor(
-            "supervised", _echo_task, 1, trace_length=10 ** 6,
-            self_check=True,
+            _echo_task, 1, trace_length=10 ** 6, self_check=True
         )
         try:
             assert fast.task_timeout < slow.task_timeout
@@ -282,42 +256,29 @@ class TestFactoryAndTimeouts:
             fast.close()
             slow.close()
 
-    def test_factory_builds_both_kinds(self):
-        from repro.dist.coordinator import DistributedExecutor
-
-        sup = make_sweep_executor(
-            "supervised", _echo_task, 1, trace_length=1000
-        )
-        dist = make_sweep_executor("distributed", _echo_task, 1)
+    def test_factory_builds_the_supervised_executor(self):
+        sup = make_sweep_executor(_echo_task, 1, trace_length=1000)
         try:
             assert isinstance(sup, SupervisedPoolExecutor)
             assert sup.task_timeout == default_task_timeout(1000)
-            assert isinstance(dist, DistributedExecutor)
         finally:
             sup.close()
-            dist.close()
-
-    def test_pool_kind_is_gone(self):
-        with pytest.raises(ConfigError, match="unknown sweep executor") as info:
-            make_sweep_executor("pool", _echo_task, 2)
-        message = str(info.value)
-        assert "supervised" in message and "distributed" in message
 
 
 class TestLedgerContract:
-    @each_executor
-    def test_duplicate_submit_rejected(self, make):
-        with make(task_timeout=30.0) as executor:
-            executor.submit(SweepTask(benchmark="x", part="single"))
+    def test_duplicate_submit_rejected(self):
+        with SupervisedPoolExecutor(_echo_task, jobs=1, task_timeout=30.0) as sup:
+            sup.submit(SweepTask(benchmark="x", part="single"))
             with pytest.raises(ConfigError, match="already submitted"):
-                executor.submit(SweepTask(benchmark="x", part="single"))
+                sup.submit(SweepTask(benchmark="x", part="single"))
 
-    @each_executor
-    def test_invalid_ledger_knobs_rejected(self, make):
+    def test_invalid_ledger_knobs_rejected(self):
         with pytest.raises(ConfigError, match="task_timeout"):
-            make(task_timeout=0.0)
+            SupervisedPoolExecutor(_echo_task, jobs=1, task_timeout=0.0)
         with pytest.raises(ConfigError, match="budget"):
-            make(task_timeout=1.0, redispatch_budget=-1)
+            SupervisedPoolExecutor(
+                _echo_task, jobs=1, task_timeout=1.0, redispatch_budget=-1
+            )
 
 
 def _pid_after_sleep(payload):
@@ -445,38 +406,16 @@ class TestTaskLiveness:
         assert liveness.finish("t") == 0.0
         assert liveness.finish("t") is None
 
-    def test_renew_extends_deadline_keeping_start(self):
-        # The lease path: renewals push the deadline out but the entry's
-        # age keeps counting from the original start.
-        clock = FakeClock()
-        liveness = TaskLiveness(clock=clock)
-        liveness.start("lease", timeout_s=5.0)
-        clock.now += 4
-        liveness.renew("lease", timeout_s=5.0)
-        clock.now += 4
-        assert liveness.overdue() == []  # deadline moved to t=9
-        clock.now += 2
-        assert liveness.overdue() == ["lease"]
-        assert liveness.finish("lease") == 10.0  # age still from t=0
-
-    def test_renew_starts_missing_entry(self):
-        clock = FakeClock()
-        liveness = TaskLiveness(clock=clock)
-        liveness.renew("new", timeout_s=5.0)
-        clock.now += 6
-        assert liveness.overdue() == ["new"]
-
 
 class TestCancel:
-    @each_executor
-    def test_cancel_reports_undelivered_tasks(self, make):
-        executor = make(task_timeout=30.0)
+    def test_cancel_reports_undelivered_tasks(self):
+        sup = SupervisedPoolExecutor(_echo_task, jobs=1, task_timeout=30.0)
         for task in _tasks(3):
-            executor.submit(task)
-        cancelled = executor.cancel()
+            sup.submit(task)
+        cancelled = sup.cancel()
         assert cancelled == 3
-        assert executor.outstanding == 0
-        executor.close()
+        assert sup.outstanding == 0
+        sup.close()
 
     def test_cancel_while_requeued_task_is_inside_backoff(self):
         # ISSUE 8 satellite: a worker_kill puts its task into the

@@ -33,8 +33,8 @@ def executors(monkeypatch):
     built = []
     real = parallel.make_sweep_executor
 
-    def spy(kind, task_fn, jobs, *args, **kwargs):
-        executor = real(kind, task_fn, jobs, *args, **kwargs)
+    def spy(task_fn, jobs, *args, **kwargs):
+        executor = real(task_fn, jobs, *args, **kwargs)
         built.append((jobs, executor))
         return executor
 

@@ -10,7 +10,6 @@ from repro.robustness.chaos import (
     HealthReport,
     RoundReport,
     random_fault_plan,
-    random_host_fault_plan,
     random_worker_fault_plan,
     run_chaos,
 )
@@ -32,8 +31,6 @@ class TestChaosConfig:
             {"max_faults": 0},
             {"trace_length": 10},
             {"benchmarks": ()},
-            {"worker_faults": True, "host_faults": True},
-            {"host_faults": True, "hosts": 1},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -105,6 +102,18 @@ class TestChaosSoak:
         assert "seed=1234" in report.format()
 
 
+@pytest.fixture(scope="module")
+def worker_round(tmp_path_factory):
+    """One worker-fault soak at the seed CI runs, shared by the tests
+    that read its report and its run directory."""
+    run_dir = tmp_path_factory.mktemp("worker-chaos") / "chaos"
+    report = run_chaos(
+        ChaosConfig(seed=4321, worker_faults=True, **WORKER_QUICK),
+        run_dir=run_dir,
+    )
+    return report, run_dir
+
+
 class TestWorkerFaultRounds:
     def test_worker_fault_plans_are_seeded(self):
         import random
@@ -116,14 +125,10 @@ class TestWorkerFaultRounds:
         assert a == b
         assert all(spec.kind in WORKER_FAULT_KINDS for spec in a.specs)
 
-    def test_worker_round_is_healthy_and_bit_identical(self, tmp_path):
+    def test_worker_round_is_healthy_and_bit_identical(self, worker_round):
         """The executor contract under seeded worker chaos: no leaked
         failures, stats bit-identical to serial, shard journal loadable."""
-        run_dir = tmp_path / "chaos"
-        report = run_chaos(
-            ChaosConfig(seed=4321, worker_faults=True, **WORKER_QUICK),
-            run_dir=run_dir,
-        )
+        report, run_dir = worker_round
         assert report.healthy, [r.violations for r in report.rounds]
         assert report.exit_code == 0
         round_report = report.rounds[0]
@@ -135,49 +140,8 @@ class TestWorkerFaultRounds:
         shard = run_dir / "round-00" / "journal-chaos-00.jsonl"
         assert shard.exists()
 
-
-class TestHostFaultRounds:
-    def test_host_fault_plans_are_seeded(self):
-        import random
-
-        from repro.robustness.faultinject import HOST_FAULT_KINDS
-
-        a = random_host_fault_plan(random.Random(7), ("compress",), 3)
-        b = random_host_fault_plan(random.Random(7), ("compress",), 3)
-        assert a == b
-        assert all(spec.kind in HOST_FAULT_KINDS for spec in a.specs)
-
-    def test_host_round_is_healthy_and_merges_shards(self, tmp_path):
-        """The distributed contract under seeded host chaos: real worker
-        subprocesses sabotaged mid-sweep, no leaked failures, stats
-        bit-identical to serial, shards merged into one journal."""
-        run_dir = tmp_path / "chaos"
-        report = run_chaos(
-            ChaosConfig(
-                seed=0, rounds=1, benchmarks=("compress",),
-                trace_length=600, host_faults=True, hosts=2,
-            ),
-            run_dir=run_dir,
-        )
-        assert report.healthy, [r.violations for r in report.rounds]
-        assert report.mode == "host-faults"
-        round_report = report.rounds[0]
-        assert round_report.mode == "host-faults"
-        assert round_report.completed_rows == 1
-        # The round keeps its reproduction surface on disk: the fault
-        # plan, the coordinator shard, and the merged journal.
-        round_dir = run_dir / "round-00"
-        assert (round_dir / "host-fault-plan.json").exists()
-        assert (round_dir / "journal-chaos-00.jsonl").exists()
-        assert (round_dir / "merged" / "journal.jsonl").exists()
-
-    def test_health_report_records_mode_and_config(self, tmp_path):
-        run_dir = tmp_path / "chaos"
-        run_chaos(
-            ChaosConfig(seed=9, rounds=1, benchmarks=("compress",),
-                        trace_length=600, worker_faults=True, jobs=2),
-            run_dir=run_dir,
-        )
+    def test_health_report_records_mode_and_config(self, worker_round):
+        _, run_dir = worker_round
         on_disk = json.loads((run_dir / "health.json").read_text())
         assert on_disk["mode"] == "worker-faults"
         # The config makes a failing round reproducible from the report
@@ -185,5 +149,5 @@ class TestHostFaultRounds:
         config = dict(on_disk["config"])
         config["benchmarks"] = tuple(config["benchmarks"])
         rebuilt = ChaosConfig(**config)
-        assert rebuilt.seed == 9
+        assert rebuilt.seed == 4321
         assert rebuilt.worker_faults is True

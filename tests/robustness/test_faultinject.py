@@ -191,35 +191,22 @@ class TestMatrixIsTyped:
             assert error.diagnostics
 
 
-class TestHostFaultSelectors:
-    def test_host_fault_mirrors_worker_fault_semantics(self):
+class TestWorkerFaultSelector:
+    def test_worker_fault_clears_by_dispatch(self):
         from repro.robustness.faultinject import FaultPlan, FaultSpec
 
         plan = FaultPlan(
             specs=(
-                FaultSpec(kind="host_kill", benchmark="compress",
+                FaultSpec(kind="worker_stall", benchmark="compress",
                           part="single", clear_after=1),
-                FaultSpec(kind="worker_kill", benchmark="compress",
+                FaultSpec(kind="stuck_divider", benchmark="ora",
                           part="single"),
             )
         )
         # Dispatch space: active at dispatch 0, cleared at 1.
-        assert plan.host_fault("compress", "single", 0) == "host_kill"
-        assert plan.host_fault("compress", "single", 1) is None
-        assert plan.host_fault("compress", "dual_none", 0) is None
-        # The families never cross: a worker fault is invisible to the
-        # host selector and vice versa.
-        assert plan.worker_fault("compress", "single", 5) == "worker_kill"
-        assert plan.host_fault("ora", "single", 0) is None
-
-    def test_host_fault_kinds_round_trip(self):
-        from repro.robustness.faultinject import (
-            HOST_FAULT_KINDS,
-            FaultPlan,
-            FaultSpec,
-        )
-
-        plan = FaultPlan(
-            specs=tuple(FaultSpec(kind=kind) for kind in HOST_FAULT_KINDS)
-        )
-        assert FaultPlan.from_dict(plan.as_dict()) == plan
+        assert plan.worker_fault("compress", "single", 0) == "worker_stall"
+        assert plan.worker_fault("compress", "single", 1) is None
+        assert plan.worker_fault("compress", "dual_none", 0) is None
+        # The families never cross: a simulation fault is invisible to
+        # the worker selector.
+        assert plan.worker_fault("ora", "single", 0) is None

@@ -129,7 +129,6 @@ def _evaluation_options(args: argparse.Namespace):
         retry=_make_retry(args),
         task_timeout=getattr(args, "task_timeout", None),
         redispatch_budget=getattr(args, "redispatch_budget", 2),
-        engine=getattr(args, "engine", None),
         spans=_make_spans(args),
     )
 
@@ -234,7 +233,6 @@ def _cmd_explore(args: argparse.Namespace) -> None:
         trace_seed=args.trace_seed,
         tech=args.tech,
         part=args.part,
-        engine=getattr(args, "engine", None),
         self_check=getattr(args, "self_check", False),
         cycle_budget=getattr(args, "cycle_budget", 0),
     )
@@ -327,7 +325,7 @@ def _cmd_ablations(args: argparse.Namespace) -> None:
                 jobs=getattr(args, "jobs", 1),
                 journal=journal,
             )
-            if name != "queue":  # the queue sweep is raw simulate(), no retry
+            if name != "queue":  # one run per queue point; no retry policy
                 kwargs["retry"] = retry
             result = sweeps[name](build, **kwargs)
             print(result.format())
@@ -350,7 +348,6 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         sample_interval=None,
         attribute_stalls=False,
         cache=_make_cache(args),
-        engine=args.engine,
     )
     first, last = args.window
     print(f"{args.benchmark} on {run.result.config_name}: {run.result.cycles} cycles")
@@ -392,7 +389,6 @@ def _cmd_stats(args: argparse.Namespace) -> None:
             trace_length=args.trace_length,
             sample_interval=args.interval,
             cache=cache,
-            engine=args.engine,
         )
         for machine in machines
     ]
@@ -459,15 +455,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_and_cache_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=["reference", "batched"],
-        default=None,
-        help="simulation kernel: 'reference' is the straight-line event "
-        "model, 'batched' the fused hot-loop kernel (bit-identical "
-        "stats, several times faster); default: the config's choice",
-    )
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
         action="store_true",
@@ -578,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_robustness_flags(t2)
     _add_jobs_flag(t2)
     _add_executor_flags(t2)
-    _add_engine_and_cache_flags(t2)
+    _add_cache_flags(t2)
     _add_resilience_flags(t2)
     _add_span_flags(t2)
     t2.set_defaults(func=_cmd_table2)
@@ -607,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_robustness_flags(ct)
     _add_jobs_flag(ct)
     _add_executor_flags(ct)
-    _add_engine_and_cache_flags(ct)
+    _add_cache_flags(ct)
     ct.set_defaults(func=_cmd_cycle_time)
 
     ab = sub.add_parser("ablations", help="design-choice sweeps")
@@ -727,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_robustness_flags(ex)
     _add_jobs_flag(ex)
-    _add_engine_and_cache_flags(ex)
+    _add_cache_flags(ex)
     _add_resilience_flags(ex, retries=False)
     _add_span_flags(ex)
     ex.set_defaults(func=_cmd_explore)
@@ -906,12 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally stream every pipeline event to FILE (JSONL)",
     )
     tr.add_argument("--cache-dir", default=None, metavar="DIR")
-    tr.add_argument(
-        "--engine",
-        choices=["reference", "batched"],
-        default=None,
-        help="simulation kernel (bit-identical stats; see 'table2 --help')",
-    )
     tr.set_defaults(func=_cmd_trace)
 
     st = sub.add_parser(
@@ -947,13 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(single machine only)",
     )
     st.add_argument("--cache-dir", default=None, metavar="DIR")
-    st.add_argument(
-        "--engine",
-        choices=["reference", "batched"],
-        default=None,
-        help="simulation kernel (bit-identical stats; see 'table2 --help')",
-    )
-
     st.set_defaults(func=_cmd_stats)
 
     # -v/--quiet on every (nested) subcommand so the flags work on

@@ -22,6 +22,7 @@ from repro.core.partition import (
 )
 from repro.core.registers import RegisterAssignment
 from repro.experiments.harness import BenchmarkEvaluation, EvaluationOptions
+from repro.perf.cache import ArtifactCache
 from repro.uarch.config import (
     dual_cluster_2way_config,
     dual_cluster_config,
@@ -235,20 +236,23 @@ def _queue_size_task(item, cache) -> "QueueSizePoint":
     """One single-cluster run at one dispatch-queue size (worker-safe)."""
     import dataclasses
 
+    from repro.experiments.harness import evaluate_workload_part
     from repro.uarch.config import single_cluster_config
-    from repro.uarch.processor import simulate
 
-    entries, trace = item
+    entries, build, trace_length = item
     base = single_cluster_config(name=f"single-q{entries}")
     cluster = dataclasses.replace(base.clusters[0], dispatch_queue_entries=entries)
-    config = dataclasses.replace(base, clusters=(cluster,))
-    result = simulate(trace, config)
+    options = EvaluationOptions(
+        trace_length=trace_length,
+        single_config=dataclasses.replace(base, clusters=(cluster,)),
+    )
+    stats = evaluate_workload_part(build(), "single", options, cache).sim.stats
     return QueueSizePoint(
         entries=entries,
-        cycles=result.cycles,
-        branch_accuracy=result.stats.branch_accuracy,
-        dcache_miss_rate=result.stats.dcache_miss_rate,
-        issue_disorder=result.stats.issue_disorder,
+        cycles=stats.cycles,
+        branch_accuracy=stats.branch_accuracy,
+        dcache_miss_rate=stats.dcache_miss_rate,
+        issue_disorder=stats.issue_disorder,
     )
 
 
@@ -267,32 +271,29 @@ def run_queue_size_ablation(
     and more issue disorder (cache behaviour).  This sweep runs the same
     native binary on single-cluster machines that differ only in dispatch
     queue size, exposing how much queue depth costs or buys on a workload.
+    Each point is the harness's ``single`` part on its machine, so every
+    point shares the native compile and trace through the artifact cache.
     """
-    from repro.compiler.pipeline import compile_program
     from repro.perf.fingerprint import fingerprint
     from repro.perf.parallel import run_sweep
-    from repro.workloads.tracegen import TraceGenerator
 
-    workload = build()
-    native = compile_program(workload.program, RegisterAssignment.single_cluster())
-    trace = TraceGenerator(
-        native.machine, workload.streams, workload.behaviors, seed=7
-    ).generate(trace_length)
+    name = build().name
     points = run_sweep(
         _queue_size_task,
-        [(entries, trace) for entries in queue_sizes],
+        [(entries, build, trace_length) for entries in queue_sizes],
         jobs,
         keys=[
             (
                 f"queue-size:entries={n}",
-                fingerprint(("queue-size/v1", workload.name, trace_length, n)),
+                fingerprint(("queue-size/v1", name, trace_length, n)),
             )
             for n in queue_sizes
         ],
         journal=journal,
+        cache=ArtifactCache(),
         trace_length=trace_length,
     )
-    return QueueSizeResult(workload.name, points)
+    return QueueSizeResult(name, points)
 
 
 @dataclass

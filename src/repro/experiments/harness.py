@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import SpanWriter
@@ -48,7 +48,7 @@ from repro.robustness.retry import RetryPolicy, run_with_retry
 from repro.robustness.validate import validate_run, validate_trace_length
 from repro.uarch.config import ProcessorConfig, dual_cluster_config, single_cluster_config
 from repro.uarch.engine import make_processor
-from repro.uarch.processor import SimulationResult, simulate
+from repro.uarch.processor import Processor, SimulationResult, simulate
 from repro.workloads.generator import Workload
 from repro.workloads.spec92 import DEFAULT_TRACE_LENGTH
 from repro.workloads.tracegen import TraceGenerator
@@ -160,12 +160,6 @@ class EvaluationOptions:
     validate: bool = True
     #: Enable the simulator's per-cycle invariant checker.
     self_check: bool = False
-    #: Simulation kernel override: ``"reference"`` / ``"batched"``
-    #: (``ProcessorConfig.engine``); ``None`` respects whatever the
-    #: configs already say.  Excluded from ``options_fingerprint`` — the
-    #: engines are bit-identical, so the knob never changes row values
-    #: (enforced by tests/uarch/test_engine_identity.py).
-    engine: Optional[str] = None
     #: Watchdog cycle budget per simulation (0 = derived default).
     cycle_budget: int = 0
     #: Worker processes for sweeps (1 = serial; 0 = one per CPU core).
@@ -213,18 +207,13 @@ class EvaluationOptions:
     spans: Optional["SpanWriter"] = None
 
     def apply_robustness(self, config: ProcessorConfig) -> ProcessorConfig:
-        """Thread the self-check / cycle-budget / engine knobs into a config."""
-        if (
-            config.self_check == self.self_check
-            and not self.cycle_budget
-            and (self.engine is None or config.engine == self.engine)
-        ):
+        """Thread the self-check / cycle-budget knobs into a config."""
+        if config.self_check == self.self_check and not self.cycle_budget:
             return config
         return replace(
             config,
             self_check=self.self_check,
             cycle_budget=self.cycle_budget or config.cycle_budget,
-            engine=self.engine or config.engine,
         )
 
 
@@ -276,6 +265,8 @@ def evaluate_workload_part(
     part: str,
     options: Optional[EvaluationOptions] = None,
     cache: Optional[ArtifactCache] = None,
+    *,
+    observe: Optional[Callable[[Processor, Sequence], None]] = None,
 ) -> PartOutcome:
     """Run one of the three Section 4 simulations for one workload.
 
@@ -284,6 +275,10 @@ def evaluate_workload_part(
     the run, and simulates — all through the artifact cache, so parts
     that share a binary share the compile and trace work whenever they
     share a cache.
+
+    ``observe(processor, trace)``, when given, runs on the built model
+    after any fault plan is installed and before the run starts; it is
+    where ``repro trace``/``repro stats`` attach their recorders.
     """
     if part not in PARTS:
         raise ValueError(f"unknown evaluation part {part!r}; valid: {PARTS}")
@@ -326,15 +321,18 @@ def evaluate_workload_part(
         validate_run(
             config, assignment, trace, compiled.machine, benchmark=workload.name
         )
-    if plan:
+    if plan or observe is not None:
         processor = make_processor(config, assignment)
-        for fault in plan.runtime_faults(
-            workload.name,
-            part,
-            options.fault_attempt,
-            clusters=len(processor.clusters),
-        ):
-            processor.install_fault(fault)
+        if plan:
+            for fault in plan.runtime_faults(
+                workload.name,
+                part,
+                options.fault_attempt,
+                clusters=len(processor.clusters),
+            ):
+                processor.install_fault(fault)
+        if observe is not None:
+            observe(processor, trace)
         sim = processor.run(trace)
     else:
         sim = simulate(trace, config, assignment)

@@ -35,7 +35,7 @@ from repro.isa.instructions import MachineInstruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import int_reg
 from repro.uarch.config import dual_cluster_config
-from repro.uarch.processor import Processor
+from repro.uarch.engine import make_processor
 from repro.workloads.trace import DynamicInstruction
 
 
@@ -136,7 +136,7 @@ def _reassignment_task(item, cache):
     else:
         trace = build_two_phase_trace(phase_length, dynamic=True)
         assignment = RegisterAssignment.even_odd_dual()
-    return Processor(config, assignment).run(trace)
+    return make_processor(config, assignment).run(trace)
 
 
 def run_reassignment_demo(

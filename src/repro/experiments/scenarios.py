@@ -26,7 +26,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import Register, int_reg
 from repro.ir.machine_program import MachineProgram
 from repro.uarch.config import dual_cluster_config
-from repro.uarch.processor import Processor
+from repro.uarch.engine import make_processor
 from repro.workloads.trace import DynamicInstruction
 
 #: Architectural register made global (the paper's ``g2``) in scenario
@@ -146,7 +146,7 @@ def run_scenario(number: int) -> ScenarioTimeline:
         for i, (instr, meta) in enumerate(machine.all_instructions())
     ]
     scenario_seq = len(dict.fromkeys(spec.srcs))  # the add follows the producers
-    processor = Processor(dual_cluster_config(), scenario_assignment())
+    processor = make_processor(dual_cluster_config(), scenario_assignment())
     processor.event_log = []
     processor.run(trace)
     plan = processor._plan_cache.get(trace[scenario_seq].instr.uid)

@@ -356,7 +356,6 @@ def run_table2(
         worker_fault_plan=options.worker_fault_plan,
         seed=options.trace_seed,
         self_check=options.self_check,
-        engine=options.engine,
         spans=spans,
     )
 

@@ -207,7 +207,6 @@ class _Evaluator:
             cache=self.cache,
             on_result=count_fresh,
             trace_length=settings.trace_length * len(settings.benchmarks),
-            engine=settings.engine,
             self_check=settings.self_check,
         )
         self.journal_hits += len(points) - fresh

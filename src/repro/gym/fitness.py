@@ -68,8 +68,6 @@ class GymSettings:
     #: ``dual_none`` simulates the shared native binary; ``dual_local``
     #: reschedules per point with the N-cluster local scheduler.
     part: str = "dual_none"
-    #: Simulation kernel override (``None`` = config default).
-    engine: Optional[str] = None
     self_check: bool = False
     cycle_budget: int = 0
 
@@ -113,7 +111,6 @@ class GymSettings:
         return EvaluationOptions(
             trace_length=self.trace_length,
             trace_seed=self.trace_seed,
-            engine=self.engine,
             self_check=self.self_check,
             cycle_budget=self.cycle_budget,
         )

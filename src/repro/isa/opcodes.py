@@ -24,20 +24,21 @@ class InstrClass(enum.Enum):
     STORE = "store"
     CONTROL = "control"
 
-    @property
-    def is_integer(self) -> bool:
-        return self in (InstrClass.INT_MULTIPLY, InstrClass.INT_OTHER)
-
-    @property
-    def is_fp(self) -> bool:
-        return self in (InstrClass.FP_DIVIDE, InstrClass.FP_OTHER)
-
-    @property
-    def is_memory(self) -> bool:
-        return self in (InstrClass.LOAD, InstrClass.STORE)
+    def __init__(self, value: str) -> None:
+        # Static facts, set once per member: the simulator and the trace
+        # checks read them per dynamic instruction.
+        self.is_integer = value.startswith("int_")
+        self.is_fp = value.startswith("fp_")
+        self.is_memory = value in ("load", "store")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"InstrClass.{self.name}"
+
+
+#: Mnemonics of the opcodes with per-member facts beyond their class.
+_CONDITIONAL_BRANCHES = frozenset({"beq", "bne", "blt", "bge", "fbeq", "fbne"})
+_UNCONDITIONAL_BRANCHES = frozenset({"br", "jsr", "ret", "jmp"})
+_FP_LOADS = frozenset({"ldt", "lds"})
 
 
 class Opcode(enum.Enum):
@@ -106,43 +107,20 @@ class Opcode(enum.Enum):
     def __init__(self, mnemonic: str, iclass: InstrClass) -> None:
         self.mnemonic = mnemonic
         self.iclass = iclass
-
-    @property
-    def is_load(self) -> bool:
-        return self.iclass is InstrClass.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.iclass is InstrClass.STORE
-
-    @property
-    def is_memory(self) -> bool:
-        return self.iclass.is_memory
-
-    @property
-    def is_control(self) -> bool:
-        return self.iclass is InstrClass.CONTROL
-
-    @property
-    def is_conditional_branch(self) -> bool:
-        return self in _CONDITIONAL_BRANCHES
-
-    @property
-    def is_unconditional(self) -> bool:
-        return self in (Opcode.BR, Opcode.JSR, Opcode.RET, Opcode.JMP)
-
-    @property
-    def writes_fp(self) -> bool:
-        """Whether the destination register (if any) is floating point."""
-        return self.iclass.is_fp or self in (Opcode.LDT, Opcode.LDS)
+        # Static facts, set once per member: the simulator and the trace
+        # checks read them per dynamic instruction.
+        self.is_load = iclass is InstrClass.LOAD
+        self.is_store = iclass is InstrClass.STORE
+        self.is_memory = iclass.is_memory
+        self.is_control = iclass is InstrClass.CONTROL
+        self.is_conditional_branch = mnemonic in _CONDITIONAL_BRANCHES
+        self.is_unconditional = mnemonic in _UNCONDITIONAL_BRANCHES
+        #: Whether the destination register (if any) is floating point.
+        self.writes_fp = iclass.is_fp or mnemonic in _FP_LOADS
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"
 
-
-_CONDITIONAL_BRANCHES = frozenset(
-    {Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.FBEQ, Opcode.FBNE}
-)
 
 #: Opcodes usable as a register-to-register move, per class.
 MOVE_OPCODES = {"int": Opcode.BIS, "fp": Opcode.CPYS}

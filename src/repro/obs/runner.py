@@ -1,11 +1,11 @@
-"""One-benchmark observed runs: the engine behind ``repro trace``/``stats``.
+"""One-benchmark observed runs: what ``repro trace``/``stats`` execute.
 
 :func:`observe_benchmark` runs a single bundled benchmark on one machine
 with the flight recorder armed — typed event tracing, metrics sampling,
 and stall attribution — and returns an :class:`ObservedRun` whose
-payload slots straight into the export layer.  It reuses the experiment
-harness's cached compile/trace stages, so the artifacts are the same
-ones a Table 2 sweep would produce (and a shared ``--cache-dir`` makes
+payload slots straight into the export layer.  The run is the experiment
+harness's own evaluation part, so the compile, trace and validation are
+the ones a Table 2 sweep performs (and a shared ``--cache-dir`` makes
 the observation nearly free after a sweep).
 
 Machines:
@@ -20,26 +20,20 @@ Machines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.harness import EvaluationOptions
-
-from repro.core.partition.local import LocalScheduler
-from repro.core.registers import RegisterAssignment
 from repro.errors import ConfigError
 from repro.obs.metrics import DEFAULT_SAMPLE_INTERVAL, PipelineMetrics
 from repro.obs.stall import StallAccounting
-from repro.obs.trace import JsonlSink, MemorySink, RingSink, TraceRecorder, TraceSink
+from repro.obs.trace import JsonlSink, MemorySink, TraceRecorder, TraceSink
 from repro.perf.cache import ArtifactCache
-from repro.robustness.validate import validate_run, validate_trace_length
-from repro.uarch.config import dual_cluster_config, single_cluster_config
-from repro.uarch.engine import make_processor
 from repro.uarch.processor import SimulationResult
 from repro.workloads.spec92 import DEFAULT_TRACE_LENGTH, SPEC92
 
-#: Machine selectors accepted by ``repro trace``/``repro stats``.
-MACHINES = ("single", "dual", "dual-local")
+#: Machine selector accepted by ``repro trace``/``repro stats`` -> the
+#: harness part that simulates it.
+MACHINE_PART = {"single": "single", "dual": "dual_none", "dual-local": "dual_local"}
+MACHINES = tuple(MACHINE_PART)
 
 
 @dataclass
@@ -79,20 +73,19 @@ def observe_benchmark(
     trace_length: int = DEFAULT_TRACE_LENGTH,
     trace_seed: int = 7,
     record_events: bool = False,
-    ring: Optional[int] = None,
     jsonl=None,
     sample_interval: Optional[int] = DEFAULT_SAMPLE_INTERVAL,
     attribute_stalls: bool = True,
     cache: Optional[ArtifactCache] = None,
-    engine: Optional[str] = None,
-    options: Optional["EvaluationOptions"] = None,
 ) -> ObservedRun:
     """Run ``name`` on ``machine`` with observability attached.
+
+    The run is the harness's own part (:data:`MACHINE_PART`), with the
+    observers attached through ``evaluate_workload_part(observe=...)``.
 
     Args:
         record_events: keep every pipeline event in memory (the
             ``repro trace`` chart needs random access to the stream).
-        ring: additionally keep only the last N events in a ring buffer.
         jsonl: additionally stream every event to this JSONL path.
         sample_interval: metrics sampling period in cycles; ``None``
             disables the metrics registry entirely.
@@ -100,17 +93,8 @@ def observe_benchmark(
             accounting; see :mod:`repro.obs.stall`).
         cache: artifact cache to compile/trace through (fresh in-memory
             one when unset).
-        engine: simulation kernel override (``"reference"`` /
-            ``"batched"``); both produce bit-identical stats.
-        options: full :class:`EvaluationOptions` override; its
-            ``trace_length``/``trace_seed``/``engine`` win over the
-            keywords.
     """
-    from repro.experiments.harness import (
-        EvaluationOptions,
-        _compile_cached,
-        _trace_cached,
-    )
+    from repro.experiments.harness import EvaluationOptions, evaluate_workload_part
     from repro.experiments.table2 import _unknown_benchmark
 
     if machine not in MACHINES:
@@ -120,58 +104,32 @@ def observe_benchmark(
         )
     if name not in SPEC92:
         raise _unknown_benchmark(name, SPEC92)
-    if options is None:
-        options = EvaluationOptions(
-            trace_length=trace_length, trace_seed=trace_seed, engine=engine
-        )
-    validate_trace_length(options.trace_length, benchmark=name)
-    if cache is None:
-        cache = ArtifactCache()
-    workload = SPEC92[name]()
+    observed: dict = {}
 
-    if machine == "dual-local":
-        compiled, ckey = _compile_cached(
-            workload,
-            RegisterAssignment.even_odd_dual(),
-            LocalScheduler(),
-            options,
-            cache,
-        )
-    else:
-        compiled, ckey = _compile_cached(
-            workload, RegisterAssignment.single_cluster(), None, options, cache
-        )
-    trace = _trace_cached(workload, compiled, ckey, options, cache)
+    def attach(processor, trace) -> None:
+        sinks: list[TraceSink] = []
+        if record_events:
+            sinks.append(MemorySink())
+        if jsonl is not None:
+            sinks.append(JsonlSink(jsonl))
+        if sinks:
+            processor.recorder = TraceRecorder(sinks)
+        if sample_interval is not None:
+            observed["metrics"] = PipelineMetrics(interval=sample_interval).attach(
+                processor
+            )
+        if attribute_stalls:
+            processor.stall_acct = StallAccounting(
+                [c.issue.total for c in processor.config.clusters]
+            )
+        observed.update(processor=processor, trace=trace)
 
-    if machine == "single":
-        config = options.apply_robustness(
-            options.single_config or single_cluster_config()
-        )
-        assignment = RegisterAssignment.single_cluster()
-    else:
-        config = options.apply_robustness(options.dual_config or dual_cluster_config())
-        assignment = options.dual_assignment or RegisterAssignment.even_odd_dual()
-    validate_run(config, assignment, trace, compiled.machine, benchmark=name)
-
-    processor = make_processor(config, assignment)
-    sinks: list[TraceSink] = []
-    if record_events:
-        sinks.append(MemorySink())
-    if ring:
-        sinks.append(RingSink(ring))
-    if jsonl is not None:
-        sinks.append(JsonlSink(jsonl))
-    if sinks:
-        processor.recorder = TraceRecorder(sinks)
-    metrics = None
-    if sample_interval is not None:
-        metrics = PipelineMetrics(interval=sample_interval).attach(processor)
-    if attribute_stalls:
-        processor.stall_acct = StallAccounting(
-            [c.issue.total for c in config.clusters]
-        )
-
-    result = processor.run(trace)
+    options = EvaluationOptions(trace_length=trace_length, trace_seed=trace_seed)
+    result = evaluate_workload_part(
+        SPEC92[name](), MACHINE_PART[machine], options, cache, observe=attach
+    ).sim
+    processor = observed["processor"]
+    metrics = observed.get("metrics")
     if metrics is not None:
         metrics.finalize(processor)
         result.stats.metrics = metrics.payload()
@@ -181,11 +139,11 @@ def observe_benchmark(
         benchmark=name,
         machine=machine,
         result=result,
-        trace_length=options.trace_length,
+        trace_length=trace_length,
         recorder=processor.recorder,
         metrics=metrics,
-        trace=trace,
+        trace=observed["trace"],
     )
 
 
-__all__ = ["MACHINES", "ObservedRun", "observe_benchmark"]
+__all__ = ["MACHINES", "MACHINE_PART", "ObservedRun", "observe_benchmark"]

@@ -77,8 +77,10 @@ POLL_TICK_S = 0.05
 #: Floor for derived per-task deadlines (seconds).
 MIN_TASK_TIMEOUT = 30.0
 
-#: Baseline deadline budget per dynamic instruction (seconds), sized for
-#: the reference engine without self-checking.
+#: Deadline budget per dynamic instruction (seconds) without
+#: self-checking.  Sized on the reference model, which is 2.7-3.2x slower
+#: than the batched model runs use, so it leaves a wide margin over the
+#: worst observed cost.
 BASE_SECONDS_PER_INSTRUCTION = 0.0025
 
 #: Per-cycle invariant checking multiplies simulation cost severalfold;
@@ -86,35 +88,21 @@ BASE_SECONDS_PER_INSTRUCTION = 0.0025
 #: traces expire healthy workers.
 SELF_CHECK_TIMEOUT_FACTOR = 4.0
 
-#: The batched engine is measured 2.7-3.2x faster than reference; halve
-#: the per-instruction budget (still comfortably above worst observed).
-BATCHED_ENGINE_TIMEOUT_FACTOR = 0.5
-
 #: The forked worker's process-local artifact cache.
 _WORKER_CACHE: Optional[ArtifactCache] = None
 
 
-def default_task_timeout(
-    trace_length: int,
-    *,
-    self_check: bool = False,
-    engine: Optional[str] = None,
-) -> float:
+def default_task_timeout(trace_length: int, *, self_check: bool = False) -> float:
     """A per-task deadline sized from the trace length and options.
 
     One task is one compile + trace + simulate of ``trace_length``
     dynamic instructions; the budget is a generous multiple of the
     worst observed per-instruction cost so only a genuinely wedged or
-    partitioned worker ever hits it.  The per-instruction rate scales
-    with what actually drives simulation cost: ``self_check`` (per-cycle
-    invariant checking) multiplies the budget by
-    :data:`SELF_CHECK_TIMEOUT_FACTOR`; the batched engine shrinks it by
-    :data:`BATCHED_ENGINE_TIMEOUT_FACTOR` (``engine=None`` is treated as
-    the reference engine).
+    partitioned worker ever hits it.  ``self_check`` (per-cycle invariant
+    checking) multiplies the per-instruction rate by
+    :data:`SELF_CHECK_TIMEOUT_FACTOR`.
     """
     per_instruction = BASE_SECONDS_PER_INSTRUCTION
-    if engine == "batched":
-        per_instruction *= BATCHED_ENGINE_TIMEOUT_FACTOR
     if self_check:
         per_instruction *= SELF_CHECK_TIMEOUT_FACTOR
     return max(MIN_TASK_TIMEOUT, 10.0 + trace_length * per_instruction)
@@ -728,22 +716,19 @@ def make_sweep_executor(
     worker_fault_plan=None,
     seed: int = 0,
     self_check: bool = False,
-    engine: Optional[str] = None,
     spans=None,
 ) -> SupervisedPoolExecutor:
     """Build the supervised executor for a ``--jobs N`` sweep.
 
     ``task_timeout=None`` derives a deadline from ``trace_length`` (and
-    the cost-scaling ``self_check``/``engine`` knobs) via
+    the cost-scaling ``self_check`` knob) via
     :func:`default_task_timeout`; the re-dispatch backoff reuses the
     deterministic seeded :class:`~repro.robustness.retry.RetryPolicy`.
     """
     timeout = (
         task_timeout
         if task_timeout is not None
-        else default_task_timeout(
-            trace_length, self_check=self_check, engine=engine
-        )
+        else default_task_timeout(trace_length, self_check=self_check)
     )
     policy = RetryPolicy(
         max_attempts=max(1, redispatch_budget + 1),
@@ -765,7 +750,6 @@ def make_sweep_executor(
 
 __all__ = [
     "BASE_SECONDS_PER_INSTRUCTION",
-    "BATCHED_ENGINE_TIMEOUT_FACTOR",
     "MIN_TASK_TIMEOUT",
     "POLL_TICK_S",
     "SELF_CHECK_TIMEOUT_FACTOR",

@@ -46,7 +46,7 @@ Design notes:
   themselves: the parent owns cancellation, so a Ctrl-C delivered to the
   process group cannot half-kill the pool.
 * The executor is supervised: per-task deadlines (derived from each
-  sweep's trace length, simulations per task, engine and self-check by
+  sweep's trace length, simulations per task and self-check by
   :func:`~repro.perf.executor.default_task_timeout`), dead/wedged-worker
   detection, bounded re-dispatch, and a circuit breaker that finishes
   the sweep serially instead of hanging.  Several hosts split a sweep
@@ -234,7 +234,6 @@ def run_sweep(
     cache: Optional[ArtifactCache] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
     trace_length: int = 0,
-    engine: Optional[str] = None,
     self_check: bool = False,
 ) -> list[Any]:
     """``[fn(item, cache) for item in items]``, fanned out by :func:`fan_out`.
@@ -252,8 +251,8 @@ def run_sweep(
     each fresh value is journaled.
 
     ``trace_length`` is the dynamic instructions one item simulates in
-    total (trace length times simulations per item); with ``engine`` and
-    ``self_check`` it sizes the per-task deadline through
+    total (trace length times simulations per item); with ``self_check``
+    it sizes the per-task deadline through
     :func:`~repro.perf.executor.default_task_timeout`.
     """
     values: list[Any] = [None] * len(items)
@@ -296,7 +295,6 @@ def run_sweep(
         journal=journal,
         cache_dir=cache.cache_dir if cache is not None else None,
         trace_length=trace_length,
-        engine=engine,
         self_check=self_check,
     )
     return values

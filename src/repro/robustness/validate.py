@@ -261,7 +261,9 @@ def validate_trace(
             static = static_by_uid.get(instr.uid)
             if static is None:
                 raise bad("trace names an instruction uid the program lacks", record)
-            if (
+            # A record holding the program's own instruction object
+            # matches it by construction; only a copy can disagree.
+            if static is not instr and (
                 static.opcode is not instr.opcode
                 or static.dest != instr.dest
                 or static.srcs != instr.srcs

@@ -161,13 +161,6 @@ class ProcessorConfig:
     #: Entries in the diagnostic ring buffer of recent pipeline events
     #: dumped when the model fails.
     diag_ring_entries: int = 64
-    #: Simulation kernel: ``"batched"`` (the default) is the struct-of-
-    #: arrays kernel in :mod:`repro.uarch.engine`; ``"reference"`` is the
-    #: per-uop event-driven model in :mod:`repro.uarch.processor`, kept as
-    #: the oracle the batched kernel is proven bit-identical against.
-    #: Honoured by :func:`repro.uarch.engine.make_processor` and everything
-    #: built on it (``simulate``, the experiment harness, the sweep CLI).
-    engine: str = "batched"
 
     @property
     def num_clusters(self) -> int:

@@ -1,13 +1,13 @@
 """The batched struct-of-arrays simulation engine.
 
-:class:`BatchedProcessor` is a drop-in replacement for
-:class:`~repro.uarch.processor.Processor` selected by
-``ProcessorConfig.engine = "batched"`` (use :func:`make_processor` rather
-than naming either class).  It produces **bit-identical statistics** —
-``stats_fingerprint`` equality is enforced by
-``tests/uarch/test_engine_identity.py`` on the full Table 2 suite — while
-running several times faster, which is what makes design-space sweeps far
-beyond the paper's two machines practical.
+:class:`BatchedProcessor` is the model every simulation builds, through
+:func:`make_processor`.  It subclasses the reference
+:class:`~repro.uarch.processor.Processor`, which only tests construct: it
+is the oracle the batched model is held to.  The two produce
+**bit-identical statistics** — ``stats_fingerprint`` equality is enforced
+by ``tests/uarch/test_engine_identity.py`` on the full Table 2 suite — and
+the batched model runs several times faster, which is what makes
+design-space sweeps far beyond the paper's two machines practical.
 
 Where the speed comes from (DESIGN.md §14):
 
@@ -55,7 +55,6 @@ from typing import Optional, Sequence
 
 from repro.core.distribution import DistributionPlan, Scenario, plan_for_instruction
 from repro.core.registers import RegisterAssignment
-from repro.errors import ConfigError
 from repro.isa.opcodes import InstrClass, Opcode
 from repro.isa.registers import RegisterClass
 from repro.uarch.config import ProcessorConfig
@@ -64,11 +63,7 @@ from repro.uarch.uop import RobEntry, Role, Uop, UopState
 from repro.workloads.trace import DynamicInstruction
 
 
-__all__ = ["ENGINES", "BatchedProcessor", "make_processor"]
-
-
-#: Recognized values of ``ProcessorConfig.engine``.
-ENGINES = ("reference", "batched")
+__all__ = ["BatchedProcessor", "make_processor"]
 
 # Per-instruction flag bits (the trace flag column and ``Uop.fastflags``).
 F_CTRL = 1
@@ -103,17 +98,11 @@ _SCEN_OF = {s.value: s for s in Scenario}
 _NUM_SCENARIOS = len(_SCEN_OF)
 
 
-def make_processor(config: ProcessorConfig, assignment: RegisterAssignment) -> Processor:
-    """Build the processor model selected by ``config.engine``."""
-    engine = config.engine
-    if engine == "reference":
-        return Processor(config, assignment)
-    if engine == "batched":
-        return BatchedProcessor(config, assignment)
-    raise ConfigError(
-        f"unknown engine {engine!r} (expected one of {', '.join(ENGINES)})",
-        config=config.name,
-    )
+def make_processor(
+    config: ProcessorConfig, assignment: RegisterAssignment
+) -> "BatchedProcessor":
+    """Build the processor model for ``config`` and ``assignment``."""
+    return BatchedProcessor(config, assignment)
 
 
 def _static_flags(opcode: Opcode, homeless: bool) -> int:

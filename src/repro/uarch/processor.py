@@ -6,6 +6,11 @@ dual distribution, no transfer buffers), while a multi-cluster
 configuration adds the distribution, master/slave execution, and
 transfer-buffer protocols of Section 2.1.
 
+:class:`Processor` is the reference model: it steps every cycle and is
+the oracle tests hold the faster batched model (:mod:`repro.uarch.engine`)
+to.  Runs build the batched model, through
+:func:`repro.uarch.engine.make_processor`.
+
 Pipeline (Section 4.1):
 
 * **fetch** — up to 12 instructions/cycle from the I-cache, in trace
@@ -1176,9 +1181,8 @@ def simulate(
 ) -> SimulationResult:
     """Convenience wrapper: build a processor and run ``trace`` on it.
 
-    Honours ``config.engine`` — the model class comes from
-    :func:`repro.uarch.engine.make_processor` (imported lazily; the
-    engine module subclasses :class:`Processor`).
+    The model comes from :func:`repro.uarch.engine.make_processor`
+    (imported lazily; the engine module subclasses :class:`Processor`).
     """
     from repro.uarch.config import default_assignment_for
     from repro.uarch.engine import make_processor

@@ -1,5 +1,7 @@
 """Tests for the report generator and the CLI plumbing."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser
@@ -41,10 +43,27 @@ IGNORED_FLAGS = [
     *((command, flag, value)
       for command in ("ablations", "reassignment", "explore")
       for flag, value in EXECUTOR_FLAGS.items()),
-    ("ablations", "--engine", "reference"),
-    ("reassignment", "--engine", "reference"),
     ("explore", "--retries", "3"),
 ]
+
+#: A minimal argument vector each subcommand accepts.
+VALID_ARGV = {
+    "table2": ["table2"],
+    "scenarios": ["scenarios"],
+    "figure6": ["figure6"],
+    "cycle-time": ["cycle-time"],
+    "ablations": ["ablations"],
+    "reassignment": ["reassignment"],
+    "explore": ["explore"],
+    "report": ["report"],
+    "replay": ["replay", "bundle.pkl"],
+    "chaos": ["chaos"],
+    "trace": ["trace", "ora"],
+    "stats": ["stats", "ora"],
+    "journal": ["journal", "merge", "run", "--output", "merged"],
+    "spans": ["spans", "summarize", "run"],
+    "top": ["top", "run"],
+}
 
 
 class TestCli:
@@ -59,6 +78,26 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         # The Table 2 sweep still reads every one of them.
         assert parser.parse_args(["table2", flag, value]).command == "table2"
+
+    def test_every_command_has_a_valid_argv(self):
+        parser = build_parser()
+        (commands,) = (
+            action.choices
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(VALID_ARGV) == set(commands)
+
+    @pytest.mark.parametrize("command", sorted(VALID_ARGV))
+    def test_no_command_selects_a_model(self, command, capsys):
+        # Every run simulates the batched model; the reference model is
+        # a test oracle only.
+        argv = VALID_ARGV[command]
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--engine", "reference"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

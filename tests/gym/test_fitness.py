@@ -145,10 +145,3 @@ class TestJournalIdentity:
         assert base != trial_fingerprint(
             PAPER_DUAL_POINT, replace(SETTINGS, part="dual_local")
         )
-
-    def test_engine_choice_does_not_change_identity(self):
-        # Engines are bit-identical kernels (DESIGN.md §14): a journal row
-        # computed by one satisfies a resume under the other.
-        assert trial_fingerprint(PAPER_DUAL_POINT, SETTINGS) == trial_fingerprint(
-            PAPER_DUAL_POINT, replace(SETTINGS, engine="batched")
-        )

@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.experiments.harness import PART_BINARY, EvaluationOptions
 from repro.experiments.table2 import run_table2
 from repro.perf.executor import (
+    BASE_SECONDS_PER_INSTRUCTION,
     MIN_TASK_TIMEOUT,
     SupervisedPoolExecutor,
     SweepTask,
@@ -228,25 +229,26 @@ class TestFactoryAndTimeouts:
         assert default_task_timeout(10 ** 6) > default_task_timeout(10 ** 5)
 
     def test_default_timeout_scales_with_evaluation_cost(self):
-        # ISSUE 8 satellite: the deadline must track what actually
-        # drives simulation cost, not just the trace length.
+        # The deadline must track what actually drives simulation cost,
+        # not just the trace length.
         tl = 10 ** 6
         plain = default_task_timeout(tl)
         checked = default_task_timeout(tl, self_check=True)
-        batched = default_task_timeout(tl, engine="batched")
         assert checked > plain  # self-check multiplies per-cycle work
-        assert batched < plain  # the fused kernel is faster
-        # engine=None means the reference kernel — same budget.
-        assert default_task_timeout(tl, engine="reference") == plain
         # The floor still applies however cheap the options make a task.
-        assert (
-            default_task_timeout(0, engine="batched") == MIN_TASK_TIMEOUT
+        assert default_task_timeout(0, self_check=True) == MIN_TASK_TIMEOUT
+
+    @pytest.mark.parametrize("trace_length", [0, 1, 7_999, 8_000, 120_000, 10 ** 6])
+    def test_default_timeout_is_the_reference_sized_budget(self, trace_length):
+        # 10 s plus BASE_SECONDS_PER_INSTRUCTION per instruction, floored
+        # at MIN_TASK_TIMEOUT: the budget sized on the reference model,
+        # a wide margin for the batched one.
+        assert default_task_timeout(trace_length) == max(
+            MIN_TASK_TIMEOUT, 10.0 + trace_length * BASE_SECONDS_PER_INSTRUCTION
         )
 
     def test_factory_derives_timeout_from_options(self):
-        fast = make_sweep_executor(
-            _echo_task, 1, trace_length=10 ** 6, engine="batched"
-        )
+        fast = make_sweep_executor(_echo_task, 1, trace_length=10 ** 6)
         slow = make_sweep_executor(
             _echo_task, 1, trace_length=10 ** 6, self_check=True
         )

@@ -1,13 +1,47 @@
 """Shared helpers for processor tests."""
 
+import contextlib
+import sys
+
+import pytest
+
+import repro.uarch.engine
 from repro.core.registers import RegisterAssignment
 from repro.ir.machine_program import MachineProgram
 from repro.isa.instructions import MachineInstruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import int_reg
 from repro.uarch.config import ProcessorConfig, default_assignment_for
+from repro.uarch.engine import BatchedProcessor
 from repro.uarch.processor import Processor
 from repro.workloads.trace import DynamicInstruction
+
+#: The two models the identity tests compare: the reference model is the
+#: oracle, the batched one is what ``make_processor`` builds.
+MODELS = {"reference": Processor, "batched": BatchedProcessor}
+
+
+@contextlib.contextmanager
+def using_model(model: type):
+    """Build ``model`` wherever the program calls ``make_processor``.
+
+    Every loaded ``repro`` module that imported the factory gets a
+    stand-in, so the harness, ``simulate`` and the experiment drivers
+    run their full paths on ``model``.  Yields a list that gains the
+    class of every processor built inside the block.
+    """
+    factory = repro.uarch.engine.make_processor
+    built = []
+
+    def make(config, assignment):
+        built.append(model)
+        return model(config, assignment)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "make_processor", None) is factory:
+                patch.setattr(module, "make_processor", make)
+        yield built
 
 
 def trace_from_instructions(

@@ -10,7 +10,6 @@ bit-identical statistics.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -21,6 +20,8 @@ from repro.gym.space import ClusterSpec, DesignPoint, DesignSpace
 from repro.perf.cache import ArtifactCache
 from repro.perf.fingerprint import fingerprint
 from repro.workloads.spec92 import SPEC92
+
+from tests.uarch.helpers import MODELS, using_model
 
 #: The ISSUE's acceptance floor: the property suite samples >= 200
 #: configurations in CI.
@@ -166,13 +167,11 @@ class TestSelfCheckSimulation:
             dual_assignment=point.assignment(),
         )
         results = {}
-        for engine in ("reference", "batched"):
-            outcome = evaluate_workload_part(
-                SPEC92["compress"](),
-                "dual_none",
-                replace(options, engine=engine),
-                artifact_cache,
-            )
+        for engine, model in MODELS.items():
+            with using_model(model):
+                outcome = evaluate_workload_part(
+                    SPEC92["compress"](), "dual_none", options, artifact_cache
+                )
             results[engine] = (
                 outcome.sim.cycles,
                 fingerprint(outcome.sim.stats.as_dict()),

@@ -1,11 +1,15 @@
 """The batched engine is bit-identical to the reference model.
 
-The contract (DESIGN.md §14): ``ProcessorConfig.engine`` selects a
-simulation kernel, never a different simulated machine.  Every stats
-counter — the full ``stats_fingerprint`` surface — must match the
-reference model exactly, on every Table 2 benchmark, on both machines,
-when stepped in slices, and under fault injection.  It must also stay
-faster: :class:`TestEngineSpeedup` holds it to a committed floor.
+The contract (DESIGN.md §14): the batched model every run builds through
+``make_processor`` is a faster kernel of the reference model, never a
+different simulated machine.  Every stats counter — the full
+``stats_fingerprint`` surface — must match the reference model exactly,
+on every Table 2 benchmark, on both machines, when stepped in slices,
+and under fault injection.  The harness-path tests substitute the
+reference model at ``make_processor`` (``using_model``), so both models
+run the same compile/trace/validate/simulate path.  The batched model
+must also stay faster: :class:`TestEngineSpeedup` holds it to a
+committed floor.
 """
 
 import copy
@@ -19,7 +23,7 @@ import pytest
 
 from repro.compiler.pipeline import compile_program
 from repro.core.registers import RegisterAssignment
-from repro.errors import ConfigError, WatchdogTimeout
+from repro.errors import WatchdogTimeout
 from repro.experiments.harness import PARTS, EvaluationOptions, evaluate_workload_part
 from repro.gym.space import ClusterSpec, DesignPoint, DesignSpace
 from repro.isa.instructions import MachineInstruction
@@ -29,14 +33,14 @@ from repro.perf.cache import ArtifactCache
 from repro.perf.fingerprint import fingerprint
 from repro.robustness.faultinject import DuplicateTransferEntry, StuckFunctionalUnit
 from repro.uarch.config import dual_cluster_config, single_cluster_config
-from repro.uarch.engine import ENGINES, BatchedProcessor, make_processor
+from repro.uarch.engine import BatchedProcessor, make_processor
 from repro.uarch.processor import Processor, simulate
 from repro.uarch.uop import RobEntry, Uop
 from repro.workloads.kernels import KERNELS
 from repro.workloads.spec92 import SPEC92
 from repro.workloads.tracegen import TraceGenerator
 
-from tests.uarch.helpers import make_trace, trace_from_instructions
+from tests.uarch.helpers import MODELS, make_trace, trace_from_instructions, using_model
 
 #: Short traces keep the 6 benchmarks x 2 machines x 2 engines sweep
 #: CI-friendly; the compile/trace artifacts are shared via a
@@ -73,10 +77,9 @@ def _fingerprint(
     suite=SPEC92,
     trace_length: int = TRACE_LENGTH,
 ) -> str:
-    options = EvaluationOptions(
-        trace_length=trace_length, cache=cache, engine=engine
-    )
-    outcome = evaluate_workload_part(suite[name](), part, options, cache)
+    options = EvaluationOptions(trace_length=trace_length, cache=cache)
+    with using_model(MODELS[engine]):
+        outcome = evaluate_workload_part(suite[name](), part, options, cache)
     return fingerprint(outcome.sim.stats.as_dict())
 
 
@@ -96,7 +99,7 @@ def _processor(engine: str, machine: str = "dual", **overrides) -> Processor:
         config, assignment = dual_cluster_config(), RegisterAssignment.even_odd_dual()
     else:
         config, assignment = single_cluster_config(), RegisterAssignment.single_cluster()
-    return make_processor(replace(config, engine=engine, **overrides), assignment)
+    return MODELS[engine](replace(config, **overrides), assignment)
 
 
 def _step_to_timeout(processor: Processor, trace):
@@ -115,23 +118,27 @@ def _step_to_timeout(processor: Processor, trace):
 
 
 class TestFactory:
-    def test_engine_knob_selects_the_class(self):
-        single = single_cluster_config()
-        reference = replace(single, engine="reference")
-        assert type(make_processor(reference, RegisterAssignment.single_cluster())) is Processor
-        # Batched is the default kernel; reference is the named oracle.
-        assert isinstance(
-            make_processor(single, RegisterAssignment.single_cluster()),
-            BatchedProcessor,
+    def test_make_processor_builds_the_batched_model(self):
+        processor = make_processor(
+            single_cluster_config(), RegisterAssignment.single_cluster()
         )
+        assert type(processor) is BatchedProcessor
 
-    def test_unknown_engine_rejected(self):
-        config = replace(single_cluster_config(), engine="warp")
-        with pytest.raises(ConfigError, match="unknown engine"):
-            make_processor(config, RegisterAssignment.single_cluster())
-
-    def test_engines_registry(self):
-        assert ENGINES == ("reference", "batched")
+    @pytest.mark.parametrize("engine", MODELS)
+    def test_harness_builds_the_substituted_model(self, engine, artifact_cache):
+        # The identity tests compare the models on the harness's own
+        # path; its plain and its observed branch must both build the
+        # model under test.
+        options = EvaluationOptions(trace_length=200, cache=artifact_cache)
+        observed = []
+        with using_model(MODELS[engine]) as built:
+            evaluate_workload_part(SPEC92["ora"](), "single", options, artifact_cache)
+            evaluate_workload_part(
+                SPEC92["ora"](), "dual_none", options, artifact_cache,
+                observe=lambda processor, trace: observed.append(type(processor)),
+            )
+        assert built == [MODELS[engine]] * 2
+        assert observed == [MODELS[engine]]
 
 
 class TestFingerprintIdentity:
@@ -190,25 +197,21 @@ class TestEngineSpeedup:
             )
         workloads = {name: SPEC92[name]() for name in SPEC92}
         engines = ("reference", "batched")
-        options = {
-            engine: EvaluationOptions(
-                trace_length=SPEEDUP_TRACE_LENGTH,
-                cache=artifact_cache,
-                engine=engine,
-            )
-            for engine in engines
-        }
+        options = EvaluationOptions(
+            trace_length=SPEEDUP_TRACE_LENGTH, cache=artifact_cache
+        )
         seconds = dict.fromkeys(engines, 0.0)
         prints = {engine: {} for engine in engines}
         for name, part in parts:
             for engine in engines:
                 runs = []
                 for _ in range(2):
-                    start = time.perf_counter()
-                    outcome = evaluate_workload_part(
-                        workloads[name], part, options[engine], artifact_cache
-                    )
-                    runs.append(time.perf_counter() - start)
+                    with using_model(MODELS[engine]):
+                        start = time.perf_counter()
+                        outcome = evaluate_workload_part(
+                            workloads[name], part, options, artifact_cache
+                        )
+                        runs.append(time.perf_counter() - start)
                 seconds[engine] += min(runs)
                 prints[engine][f"{name}/{part}"] = fingerprint(
                     outcome.sim.stats.as_dict()
@@ -232,7 +235,7 @@ class TestStallRunSkip:
         # fewer steps.
         steps = {}
         results = {}
-        for engine in ENGINES:
+        for engine in MODELS:
             processor = _processor(engine)
             processor.start(listwalk_trace)
             taken = 1
@@ -248,7 +251,7 @@ class TestStallRunSkip:
     def test_stepwise_advance_matches_straight_run(self, listwalk_trace):
         # The listwalk trace makes bulk-counted stall runs end on (and
         # straddle) the max_steps boundaries.
-        config = replace(dual_cluster_config(), engine="batched")
+        config = dual_cluster_config()
         for trace in (make_trace(), listwalk_trace):
             straight = make_processor(config, RegisterAssignment.even_odd_dual())
             expected = fingerprint(straight.run(trace).stats.as_dict())
@@ -271,7 +274,7 @@ class TestStallRunSkip:
             trace[index] = copy.copy(trace[index])
             trace[index].reassign = assignment
         results = {}
-        for engine in ENGINES:
+        for engine in MODELS:
             stats = _processor(engine).run(trace).stats
             assert stats.reassignments == 2
             results[engine] = fingerprint(stats.as_dict())
@@ -297,9 +300,9 @@ class TestStallRunSkip:
         dual = dual_cluster_config()
         small = replace(dual.clusters[0], dispatch_queue_entries=4)
         results = {}
-        for engine in ENGINES:
-            config = replace(dual, clusters=(small, small), engine=engine)
-            processor = make_processor(config, RegisterAssignment.even_odd_dual())
+        for engine in MODELS:
+            config = replace(dual, clusters=(small, small))
+            processor = MODELS[engine](config, RegisterAssignment.even_odd_dual())
             stats = processor.run(
                 trace_from_instructions(instrs, addresses=addresses)
             ).stats
@@ -311,8 +314,9 @@ class TestStallRunSkip:
 
 class TestWatchdogParity:
     def test_cycle_budget_raises_on_batched_engine(self):
-        config = replace(dual_cluster_config(), engine="batched")
-        processor = make_processor(config, RegisterAssignment.even_odd_dual())
+        processor = make_processor(
+            dual_cluster_config(), RegisterAssignment.even_odd_dual()
+        )
         with pytest.raises(WatchdogTimeout) as info:
             processor.run(make_trace(), max_cycles=3)
         assert "budget" in info.value.message
@@ -334,7 +338,7 @@ class TestWatchdogParity:
         self, machine, overrides, listwalk_trace
     ):
         outcomes = {}
-        for engine in ENGINES:
+        for engine in MODELS:
             processor = _processor(engine, machine, **overrides)
             timeout, before = _step_to_timeout(processor, listwalk_trace)
             outcomes[engine] = (
@@ -350,14 +354,14 @@ class TestWatchdogParity:
                 assert before < timeout.cycle - 1
         assert outcomes["batched"] == outcomes["reference"]
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", MODELS)
     def test_tight_progress_window_still_completes(self, engine):
         # The window is larger than any single stall the trace produces
         # (memory latency is 16), so a correct engine finishes; an engine
         # that forgets to refresh the progress clock on any productive
         # cycle trips the no-forward-progress watchdog instead.
-        config = replace(dual_cluster_config(), engine=engine, progress_window=64)
-        processor = make_processor(config, RegisterAssignment.even_odd_dual())
+        config = replace(dual_cluster_config(), progress_window=64)
+        processor = MODELS[engine](config, RegisterAssignment.even_odd_dual())
         result = processor.run(make_trace())
         assert result.stats.instructions == 400
 
@@ -378,9 +382,10 @@ class TestFaultInjectionParity:
         # divider degrades nothing and the duplicate entry only squats
         # on capacity — the runs complete either way).
         results = {}
-        for engine in ENGINES:
-            config = replace(dual_cluster_config(), engine=engine)
-            processor = make_processor(config, RegisterAssignment.even_odd_dual())
+        for engine in MODELS:
+            processor = MODELS[engine](
+                dual_cluster_config(), RegisterAssignment.even_odd_dual()
+            )
             fault = fault_factory()
             processor.install_fault(fault)
             result = processor.run(make_trace())
@@ -444,16 +449,16 @@ def _gym_outcome(point: DesignPoint, benchmark: str, engine: str, cache):
         trace_length=800,
         dual_config=point.to_config(),
         dual_assignment=point.assignment(),
-        engine=engine,
     )
-    return evaluate_workload_part(SPEC92[benchmark](), "dual_none", options, cache)
+    with using_model(MODELS[engine]):
+        return evaluate_workload_part(SPEC92[benchmark](), "dual_none", options, cache)
 
 
 class TestNClusterIdentity:
     @pytest.mark.parametrize("point", GYM_POINTS, ids=lambda p: p.slug)
     def test_batched_matches_reference(self, point, artifact_cache):
         results = {}
-        for engine in ENGINES:
+        for engine in MODELS:
             outcome = _gym_outcome(point, "compress", engine, artifact_cache)
             results[engine] = (
                 outcome.sim.cycles,
@@ -463,7 +468,7 @@ class TestNClusterIdentity:
 
     def test_replay_heavy_point_matches_reference(self, artifact_cache):
         results = {}
-        for engine in ENGINES:
+        for engine in MODELS:
             outcome = _gym_outcome(REPLAY_HEAVY, "ora", engine, artifact_cache)
             stats = outcome.sim.stats
             # The replay path must actually run, not merely exist.

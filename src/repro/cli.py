@@ -7,10 +7,11 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
                            [--task-timeout S] [--redispatch-budget N]
                            [--spans] [--spans-dir DIR]
     python -m repro scenarios
-    python -m repro figure6 [--sweep] [--jobs N] [--resume DIR]
+    python -m repro figure6 [--sweep]
     python -m repro cycle-time [--trace-length N] [--jobs N]
     python -m repro ablations [--benchmark NAME] [--trace-length N] [--jobs N]
                               [--retries N] [--resume DIR]
+    python -m repro reassignment [--phase-length N]
     python -m repro explore [--driver random|grid|evolutionary|halving]
                             [--seed N] [--budget N] [--population N]
                             [--generations N] [--trace-length N] [--jobs N]
@@ -133,9 +134,9 @@ def _evaluation_options(args: argparse.Namespace):
     )
 
 
-def _report_cache(options) -> None:
-    if options.cache is not None:
-        log.info("%s", options.cache.stats.format())
+def _report_cache(cache) -> None:
+    if cache is not None:
+        log.info("%s", cache.stats.format())
 
 
 def _cmd_table2(args: argparse.Namespace) -> None:
@@ -155,7 +156,7 @@ def _cmd_table2(args: argparse.Namespace) -> None:
         log.info(
             "spans: %d emitted -> %s", options.spans.emitted, options.spans.path
         )
-    _report_cache(options)
+    _report_cache(options.cache)
     if result.failures:
         log.warning(
             "warning: %d benchmark(s) failed; see the failure table above",
@@ -173,22 +174,13 @@ def _cmd_scenarios(_args: argparse.Namespace) -> None:
 
 def _cmd_figure6(args: argparse.Namespace) -> None:
     from repro.experiments.figure6 import main as figure6_main
-
-    if not getattr(args, "sweep", False):
-        figure6_main()
-        return
     from repro.experiments.figure6 import run_figure6_sweep
 
-    journal = _make_journal(args)
-    try:
-        results = run_figure6_sweep(
-            jobs=getattr(args, "jobs", 1), journal=journal
-        )
-    finally:
-        if journal is not None:
-            journal.close()
+    if not args.sweep:
+        figure6_main()
+        return
     print("Figure 6 walk-through across imbalance thresholds")
-    for threshold, result in results:
+    for threshold, result in run_figure6_sweep():
         print(
             f"  threshold={threshold}: blocks={result.block_order} "
             f"order={result.assignment_order} "
@@ -209,7 +201,7 @@ def _cmd_cycle_time(args: argparse.Namespace) -> None:
     options = _evaluation_options(args)
     table2 = run_table2(args.benchmarks or None, options)
     print(format_cycle_time_analysis(run_cycle_time_analysis(table2)))
-    _report_cache(options)
+    _report_cache(options.cache)
 
 
 def _cmd_explore(args: argparse.Namespace) -> None:
@@ -285,49 +277,26 @@ def _cmd_explore(args: argparse.Namespace) -> None:
             f"1x8-way baseline; {len(result.trials)} trials, "
             f"{result.journal_hits} replayed from the journal)"
         )
-    if cache is not None:
-        log.info("%s", cache.stats.format())
+    _report_cache(cache)
 
 
 def _cmd_ablations(args: argparse.Namespace) -> None:
-    from repro.experiments.ablations import (
-        run_assignment_ablation,
-        run_buffer_depth_ablation,
-        run_global_widening_ablation,
-        run_imbalance_scope_ablation,
-        run_issue_width_ablation,
-        run_partitioner_ablation,
-        run_queue_size_ablation,
-        run_threshold_ablation,
-        run_unroll_ablation,
-    )
-    from repro.workloads.spec92 import SPEC92
+    from repro.experiments.ablations import SWEEPS, run_ablation
+    from repro.workloads.spec92 import SPEC92, check_benchmark
 
-    build = SPEC92[args.benchmark]
-    sweeps = {
-        "threshold": run_threshold_ablation,
-        "buffers": run_buffer_depth_ablation,
-        "partitioner": run_partitioner_ablation,
-        "assignment": run_assignment_ablation,
-        "unroll": run_unroll_ablation,
-        "globals": run_global_widening_ablation,
-        "queue": run_queue_size_ablation,
-        "scope": run_imbalance_scope_ablation,
-        "width": run_issue_width_ablation,
-    }
-    selected = args.sweeps or list(sweeps)
-    journal = _make_journal(args)
+    check_benchmark(args.benchmark)
     retry = _make_retry(args)
+    journal = _make_journal(args)
     try:
-        for name in selected:
-            kwargs = dict(
+        for name in args.sweeps or SWEEPS:
+            result = run_ablation(
+                name,
+                SPEC92[args.benchmark],
                 trace_length=args.trace_length,
-                jobs=getattr(args, "jobs", 1),
+                jobs=args.jobs,
                 journal=journal,
+                retry=retry,
             )
-            if name != "queue":  # one run per queue point; no retry policy
-                kwargs["retry"] = retry
-            result = sweeps[name](build, **kwargs)
             print(result.format())
             print()
     finally:
@@ -415,12 +384,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
     if args.prom:
         write_prometheus(args.prom, runs[0].metrics.registry)
         log.info("wrote %s", args.prom)
-    _report_cache_stats(cache)
-
-
-def _report_cache_stats(cache) -> None:
-    if cache is not None:
-        log.info("%s", cache.stats.format())
+    _report_cache(cache)
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
@@ -553,6 +517,8 @@ def _add_logging_flags(parser: argparse.ArgumentParser, suppress: bool = False) 
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.ablations import SWEEPS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Multicluster Architecture reproduction (MICRO-30 1997)",
@@ -580,13 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the walk-through across imbalance thresholds",
     )
-    _add_jobs_flag(f6)
-    f6.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="journal directory for the threshold sweep (see table2)",
-    )
     f6.set_defaults(func=_cmd_figure6)
 
     ct = sub.add_parser("cycle-time", help="the Section 4.2/5 analysis")
@@ -604,10 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument(
         "--sweeps",
         nargs="*",
-        choices=[
-            "threshold", "buffers", "partitioner", "assignment",
-            "unroll", "globals", "queue", "scope", "width",
-        ],
+        choices=list(SWEEPS),
         default=None,
     )
     _add_jobs_flag(ab)
@@ -729,13 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reassignment", help="dynamic register reassignment demo (Section 6)"
     )
     ra.add_argument("--phase-length", type=int, default=2000)
-    _add_jobs_flag(ra)
-    ra.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="journal directory for the three machine runs (see table2)",
-    )
     ra.set_defaults(func=_cmd_reassignment)
 
     rep = sub.add_parser(
@@ -944,15 +893,7 @@ def _cmd_reassignment(args: argparse.Namespace) -> None:
         run_reassignment_demo,
     )
 
-    journal = _make_journal(args)
-    try:
-        result = run_reassignment_demo(
-            args.phase_length, jobs=getattr(args, "jobs", 1), journal=journal
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    print(format_reassignment_result(result))
+    print(format_reassignment_result(run_reassignment_demo(args.phase_length)))
 
 
 def _cmd_replay(args: argparse.Namespace) -> None:

@@ -5,15 +5,7 @@ from repro.experiments.ablations import (
     AblationResult,
     QueueSizePoint,
     QueueSizeResult,
-    run_assignment_ablation,
-    run_buffer_depth_ablation,
-    run_global_widening_ablation,
-    run_imbalance_scope_ablation,
-    run_issue_width_ablation,
-    run_partitioner_ablation,
-    run_queue_size_ablation,
-    run_threshold_ablation,
-    run_unroll_ablation,
+    run_ablation,
 )
 from repro.experiments.cycle_time import (
     CycleTimeReport,
@@ -62,15 +54,7 @@ __all__ = [
     "AblationResult",
     "QueueSizePoint",
     "QueueSizeResult",
-    "run_assignment_ablation",
-    "run_buffer_depth_ablation",
-    "run_global_widening_ablation",
-    "run_imbalance_scope_ablation",
-    "run_issue_width_ablation",
-    "run_partitioner_ablation",
-    "run_queue_size_ablation",
-    "run_threshold_ablation",
-    "run_unroll_ablation",
+    "run_ablation",
     "CycleTimeReport",
     "CycleTimeRow",
     "format_cycle_time_analysis",

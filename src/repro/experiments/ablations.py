@@ -1,22 +1,27 @@
 """Experiment E10 and the DESIGN.md ablations.
 
+Every sweep has one shape: build one benchmark, vary one design option,
+and run each value as a labelled point.  :data:`SWEEPS` holds one
+:class:`Sweep` per option, keyed by its ``repro ablations --sweeps``
+name, and :func:`run_ablation` runs any of them.
+
 The paper evaluated both 4-way and 8-way machines but printed only the
-8-way results ("these more clearly show the important trends");
-:func:`run_issue_width_ablation` reproduces the 4-way companion.  The
-remaining sweeps probe the design choices DESIGN.md calls out: the local
-scheduler's imbalance threshold, transfer-buffer depth, partitioner
-choice, and the architectural-register-to-cluster map.
+8-way results ("these more clearly show the important trends"); the
+``width`` sweep reproduces the 4-way companion.  The remaining sweeps
+probe the design choices DESIGN.md calls out: the local scheduler's
+imbalance threshold and scope, transfer-buffer depth, partitioner
+choice, the architectural-register-to-cluster map, the Section 6
+future-work transformations, and the single cluster's dispatch queue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.partition import (
     AffinityPartitioner,
     LocalScheduler,
-    Partitioner,
     RandomPartitioner,
     RoundRobinPartitioner,
 )
@@ -27,6 +32,7 @@ from repro.uarch.config import (
     dual_cluster_2way_config,
     dual_cluster_config,
     single_cluster_4way_config,
+    single_cluster_config,
     with_buffer_entries,
 )
 from repro.workloads.generator import Workload
@@ -34,6 +40,9 @@ from repro.workloads.generator import Workload
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robustness.journal import RunJournal
     from repro.robustness.retry import RetryPolicy
+
+Build = Callable[[], Workload]
+Point = tuple[str, Workload, EvaluationOptions]
 
 
 @dataclass
@@ -63,239 +72,6 @@ class AblationResult:
         return "\n".join(lines)
 
 
-def _point_from(label: str, ev: BenchmarkEvaluation) -> AblationPoint:
-    return AblationPoint(
-        label=label,
-        pct_none=ev.pct_none,
-        pct_local=ev.pct_local,
-        dual_fraction=ev.dual_local.stats.dual_fraction,
-        replays=ev.dual_local.stats.replay_exceptions,
-    )
-
-
-def _evaluate_point(item, cache) -> BenchmarkEvaluation:
-    """One ablation point's three runs (worker-safe)."""
-    from repro.experiments.harness import evaluate_workload
-
-    workload, options = item
-    return evaluate_workload(workload, options, cache=cache)
-
-
-def _points(
-    tasks: list[tuple[str, Workload, EvaluationOptions]],
-    jobs: int,
-    journal: Optional["RunJournal"] = None,
-    sweep: str = "ablation",
-) -> list[AblationPoint]:
-    """Evaluate labelled sweep points, fanning out to workers for jobs != 1.
-
-    Same bit-identity contract as the Table 2 sweep: every stage is
-    seeded, so the parallel path returns exactly the serial points — and
-    a journaled point reused by ``--resume`` *is* the original pickled
-    evaluation, so resumed tables match uninterrupted ones bit for bit.
-    Each point journals under ``{sweep}:{label}`` keyed by its own
-    options fingerprint (ablation points deliberately differ in options,
-    so a changed sweep parameter invalidates exactly the changed rows).
-    """
-    from repro.perf.parallel import run_sweep
-    from repro.robustness.journal import options_fingerprint
-
-    evaluations = run_sweep(
-        _evaluate_point,
-        [(workload, options) for _, workload, options in tasks],
-        jobs,
-        keys=[
-            (f"{sweep}:{label}", options_fingerprint(options))
-            for label, _, options in tasks
-        ],
-        journal=journal,
-        # One point is a single-cluster and two dual-cluster runs.
-        trace_length=3 * max(options.trace_length for _, _, options in tasks),
-    )
-    return [
-        _point_from(label, ev) for (label, _, _), ev in zip(tasks, evaluations)
-    ]
-
-
-def run_issue_width_ablation(
-    build: Callable[[], Workload],
-    trace_length: int = 30_000,
-    jobs: int = 1,
-    journal: Optional["RunJournal"] = None,
-    retry: Optional["RetryPolicy"] = None,
-) -> AblationResult:
-    """E10: 8-way single vs 2x4 dual, and 4-way single vs 2x2 dual."""
-    tasks = [
-        (
-            "8-way vs 2x4-way",
-            build(),
-            EvaluationOptions(trace_length=trace_length, retry=retry),
-        ),
-        (
-            "4-way vs 2x2-way",
-            build(),
-            EvaluationOptions(
-                trace_length=trace_length,
-                single_config=single_cluster_4way_config(),
-                dual_config=dual_cluster_2way_config(),
-                retry=retry,
-            ),
-        ),
-    ]
-    return AblationResult(
-        "issue width (single vs clustered pair)",
-        _points(tasks, jobs, journal, sweep="issue-width"),
-    )
-
-
-def run_threshold_ablation(
-    build: Callable[[], Workload],
-    thresholds: tuple[int, ...] = (0, 1, 2, 4, 8, 16),
-    trace_length: int = 30_000,
-    jobs: int = 1,
-    journal: Optional["RunJournal"] = None,
-    retry: Optional["RetryPolicy"] = None,
-) -> AblationResult:
-    """Sweep the local scheduler's compile-time imbalance constant."""
-    tasks = [
-        (
-            f"threshold={threshold}",
-            build(),
-            EvaluationOptions(
-                trace_length=trace_length,
-                partitioner=LocalScheduler(imbalance_threshold=threshold),
-                retry=retry,
-            ),
-        )
-        for threshold in thresholds
-    ]
-    return AblationResult(
-        "local-scheduler imbalance threshold",
-        _points(tasks, jobs, journal, sweep="threshold"),
-    )
-
-
-def run_buffer_depth_ablation(
-    build: Callable[[], Workload],
-    depths: tuple[int, ...] = (2, 4, 8, 16, 32),
-    trace_length: int = 30_000,
-    jobs: int = 1,
-    journal: Optional["RunJournal"] = None,
-    retry: Optional["RetryPolicy"] = None,
-) -> AblationResult:
-    """Sweep the operand/result transfer-buffer depth (paper: 8 + 8)."""
-    tasks = [
-        (
-            f"entries={depth}",
-            build(),
-            EvaluationOptions(
-                trace_length=trace_length,
-                dual_config=with_buffer_entries(dual_cluster_config(), depth),
-                retry=retry,
-            ),
-        )
-        for depth in depths
-    ]
-    return AblationResult(
-        "transfer-buffer entries per cluster",
-        _points(tasks, jobs, journal, sweep="buffer-depth"),
-    )
-
-
-def run_partitioner_ablation(
-    build: Callable[[], Workload],
-    trace_length: int = 30_000,
-    jobs: int = 1,
-    journal: Optional["RunJournal"] = None,
-    retry: Optional["RetryPolicy"] = None,
-) -> AblationResult:
-    """Local scheduler vs balance-blind baselines."""
-    partitioners: list[Partitioner] = [
-        LocalScheduler(),
-        AffinityPartitioner(),
-        RoundRobinPartitioner(),
-        RandomPartitioner(seed=3),
-    ]
-    tasks = [
-        (
-            partitioner.name,
-            build(),
-            EvaluationOptions(
-                trace_length=trace_length, partitioner=partitioner, retry=retry
-            ),
-        )
-        for partitioner in partitioners
-    ]
-    return AblationResult(
-        "partitioner (column 'local %' is the partitioned binary)",
-        _points(tasks, jobs, journal, sweep="partitioner"),
-    )
-
-
-def _queue_size_task(item, cache) -> "QueueSizePoint":
-    """One single-cluster run at one dispatch-queue size (worker-safe)."""
-    import dataclasses
-
-    from repro.experiments.harness import evaluate_workload_part
-    from repro.uarch.config import single_cluster_config
-
-    entries, build, trace_length = item
-    base = single_cluster_config(name=f"single-q{entries}")
-    cluster = dataclasses.replace(base.clusters[0], dispatch_queue_entries=entries)
-    options = EvaluationOptions(
-        trace_length=trace_length,
-        single_config=dataclasses.replace(base, clusters=(cluster,)),
-    )
-    stats = evaluate_workload_part(build(), "single", options, cache).sim.stats
-    return QueueSizePoint(
-        entries=entries,
-        cycles=stats.cycles,
-        branch_accuracy=stats.branch_accuracy,
-        dcache_miss_rate=stats.dcache_miss_rate,
-        issue_disorder=stats.issue_disorder,
-    )
-
-
-def run_queue_size_ablation(
-    build: Callable[[], Workload],
-    queue_sizes: tuple[int, ...] = (32, 64, 128, 256),
-    trace_length: int = 30_000,
-    jobs: int = 1,
-    journal: Optional["RunJournal"] = None,
-) -> "QueueSizeResult":
-    """The paper's explanation for the compress anomaly, isolated.
-
-    Section 4.2 attributes compress's *speedup* on the dual-cluster
-    machine to the single cluster's larger dispatch queue: more in-flight
-    branches between prediction and table update (stale predictor state)
-    and more issue disorder (cache behaviour).  This sweep runs the same
-    native binary on single-cluster machines that differ only in dispatch
-    queue size, exposing how much queue depth costs or buys on a workload.
-    Each point is the harness's ``single`` part on its machine, so every
-    point shares the native compile and trace through the artifact cache.
-    """
-    from repro.perf.fingerprint import fingerprint
-    from repro.perf.parallel import run_sweep
-
-    name = build().name
-    points = run_sweep(
-        _queue_size_task,
-        [(entries, build, trace_length) for entries in queue_sizes],
-        jobs,
-        keys=[
-            (
-                f"queue-size:entries={n}",
-                fingerprint(("queue-size/v1", name, trace_length, n)),
-            )
-            for n in queue_sizes
-        ],
-        journal=journal,
-        cache=ArtifactCache(),
-        trace_length=trace_length,
-    )
-    return QueueSizeResult(name, points)
-
-
 @dataclass
 class QueueSizePoint:
     entries: int
@@ -307,12 +83,12 @@ class QueueSizePoint:
 
 @dataclass
 class QueueSizeResult:
-    benchmark: str
+    name: str
     points: list[QueueSizePoint]
 
     def format(self) -> str:
         lines = [
-            f"ablation: single-cluster dispatch-queue size ({self.benchmark})",
+            f"ablation: {self.name}",
             f"{'entries':>8} {'cycles':>9} {'br acc':>8} {'d$ miss':>8} {'disorder':>9}",
         ]
         for p in self.points:
@@ -323,42 +99,57 @@ class QueueSizeResult:
         return "\n".join(lines)
 
 
-def run_imbalance_scope_ablation(
-    build: Callable[[], Workload],
-    trace_length: int = 30_000,
-    jobs: int = 1,
-    journal: Optional["RunJournal"] = None,
-    retry: Optional["RetryPolicy"] = None,
-) -> AblationResult:
-    """Whole-block vs prefix-only imbalance estimation in the local
-    scheduler (the interpretation choice documented in
-    :func:`repro.core.balance.imbalance_around`)."""
-    tasks = [
-        (
-            f"scope={scope}",
-            build(),
-            EvaluationOptions(
-                trace_length=trace_length,
-                partitioner=LocalScheduler(imbalance_scope=scope),
-                retry=retry,
-            ),
-        )
-        for scope in ("block", "prefix")
-    ]
-    return AblationResult(
-        "local-scheduler imbalance scope",
-        _points(tasks, jobs, journal, sweep="imbalance-scope"),
-    )
+@dataclass(frozen=True)
+class Sweep:
+    """One design option and the values :func:`run_ablation` tries."""
+
+    title: str
+    #: Each point journals under ``{prefix}:{label}``.
+    prefix: str
+    defaults: tuple
+    #: ``point(build, value, base)`` turns one value into a labelled
+    #: point; ``base`` carries the trace length and retry policy.
+    point: Callable[[Build, Any, EvaluationOptions], Point]
+    #: Points run only the ``single`` part and report
+    #: :class:`QueueSizePoint` rows (the dispatch-queue sweep); otherwise
+    #: they run all three Section 4 parts.
+    single_part: bool = False
 
 
-def run_unroll_ablation(
-    build: Callable[[], Workload],
-    factors: tuple[int, ...] = (1, 2, 4),
-    trace_length: int = 30_000,
-    jobs: int = 1,
-    journal: Optional["RunJournal"] = None,
-    retry: Optional["RetryPolicy"] = None,
-) -> AblationResult:
+def _threshold(build: Build, threshold: int, base: EvaluationOptions) -> Point:
+    partitioner = LocalScheduler(imbalance_threshold=threshold)
+    return f"threshold={threshold}", build(), replace(base, partitioner=partitioner)
+
+
+def _buffers(build: Build, depth: int, base: EvaluationOptions) -> Point:
+    dual = with_buffer_entries(dual_cluster_config(), depth)
+    return f"entries={depth}", build(), replace(base, dual_config=dual)
+
+
+#: A fresh partitioner per point: the local scheduler keeps per-run state.
+_PARTITIONERS = {
+    "local": LocalScheduler,
+    "affinity-kl": AffinityPartitioner,
+    "round-robin": RoundRobinPartitioner,
+    "random": lambda: RandomPartitioner(seed=3),
+}
+
+
+def _partitioner(build: Build, name: str, base: EvaluationOptions) -> Point:
+    return name, build(), replace(base, partitioner=_PARTITIONERS[name]())
+
+
+_ASSIGNMENTS = {
+    "even/odd": RegisterAssignment.even_odd_dual,
+    "low/high": RegisterAssignment.low_high_dual,
+}
+
+
+def _assignment(build: Build, name: str, base: EvaluationOptions) -> Point:
+    return name, build(), replace(base, dual_assignment=_ASSIGNMENTS[name]())
+
+
+def _unroll(build: Build, factor: int, base: EvaluationOptions) -> Point:
     """Section 6 future work: unroll inner loops before partitioning.
 
     "Loop unrolling could be used to generate a code schedule in which
@@ -370,38 +161,19 @@ def run_unroll_ablation(
     from repro.compiler.passes.unroll import unroll_program
     from repro.workloads.branch_models import LoopBranch
 
-    tasks = []
-    for factor in factors:
-        workload = build()
-        if factor > 1 and unroll_program(workload.program, factor):
-            # Trip counts now describe unrolled trips: scale the loop
-            # behaviours down so dynamic iteration counts stay comparable.
-            for name, model in list(workload.behaviors.items()):
-                if isinstance(model, LoopBranch):
-                    workload.behaviors[name] = LoopBranch(
-                        max(1, model.trip_count // factor), model.jitter
-                    )
-        tasks.append(
-            (
-                f"unroll x{factor}",
-                workload,
-                EvaluationOptions(trace_length=trace_length, retry=retry),
-            )
-        )
-    return AblationResult(
-        "loop unrolling factor (Section 6 future work)",
-        _points(tasks, jobs, journal, sweep="unroll"),
-    )
+    workload = build()
+    if factor > 1 and unroll_program(workload.program, factor):
+        # Trip counts now describe unrolled trips: scale the loop
+        # behaviours down so dynamic iteration counts stay comparable.
+        for name, model in list(workload.behaviors.items()):
+            if isinstance(model, LoopBranch):
+                workload.behaviors[name] = LoopBranch(
+                    max(1, model.trip_count // factor), model.jitter
+                )
+    return f"unroll x{factor}", workload, base
 
 
-def run_global_widening_ablation(
-    build: Callable[[], Workload],
-    extra_global_registers: tuple[int, ...] = (0, 2, 4),
-    trace_length: int = 30_000,
-    jobs: int = 1,
-    journal: Optional["RunJournal"] = None,
-    retry: Optional["RetryPolicy"] = None,
-) -> AblationResult:
+def _globals(build: Build, count: int, base: EvaluationOptions) -> Point:
     """Section 6 future work: allocate key variables to global registers.
 
     "A second scheme is to allocate key variables to global registers so
@@ -412,49 +184,175 @@ def run_global_widening_ablation(
     """
     from repro.isa.registers import int_reg
 
-    tasks = []
-    for count in extra_global_registers:
-        extras = tuple(int_reg(2 + i) for i in range(count))
-        assignment = RegisterAssignment.even_odd_dual(extra_globals=extras)
-        tasks.append(
-            (
-                f"extra globals={count}",
-                build(),
-                EvaluationOptions(
-                    trace_length=trace_length,
-                    dual_assignment=assignment,
-                    retry=retry,
-                ),
-            )
+    extras = tuple(int_reg(2 + i) for i in range(count))
+    assignment = RegisterAssignment.even_odd_dual(extra_globals=extras)
+    return f"extra globals={count}", build(), replace(base, dual_assignment=assignment)
+
+
+def _queue(build: Build, entries: int, base: EvaluationOptions) -> Point:
+    """The paper's explanation for the compress anomaly, isolated.
+
+    Section 4.2 attributes compress's *speedup* on the dual-cluster
+    machine to the single cluster's larger dispatch queue: more in-flight
+    branches between prediction and table update (stale predictor state)
+    and more issue disorder (cache behaviour).  Each point runs the same
+    native binary on a single-cluster machine that differs only in
+    dispatch queue size, exposing how much queue depth costs or buys.
+    """
+    single = single_cluster_config(name=f"single-q{entries}")
+    cluster = replace(single.clusters[0], dispatch_queue_entries=entries)
+    config = replace(single, clusters=(cluster,))
+    return f"entries={entries}", build(), replace(base, single_config=config)
+
+
+def _scope(build: Build, scope: str, base: EvaluationOptions) -> Point:
+    """Whole-block vs prefix-only imbalance estimation in the local
+    scheduler (the interpretation choice documented in
+    :func:`repro.core.balance.imbalance_around`)."""
+    partitioner = LocalScheduler(imbalance_scope=scope)
+    return f"scope={scope}", build(), replace(base, partitioner=partitioner)
+
+
+def _width(build: Build, width: int, base: EvaluationOptions) -> Point:
+    """E10: 8-way single vs 2x4 dual, and 4-way single vs 2x2 dual."""
+    if width == 4:
+        base = replace(
+            base,
+            single_config=single_cluster_4way_config(),
+            dual_config=dual_cluster_2way_config(),
         )
-    return AblationResult(
+    elif width != 8:
+        raise ValueError(f"the width sweep has 8-way and 4-way machines, not {width}")
+    return f"{width}-way vs 2x{width // 2}-way", build(), base
+
+
+#: Every ablation, keyed by its ``--sweeps`` name, in the CLI's order.
+SWEEPS: dict[str, Sweep] = {
+    "threshold": Sweep(
+        "local-scheduler imbalance threshold",
+        "threshold", (0, 1, 2, 4, 8, 16), _threshold,
+    ),
+    "buffers": Sweep(
+        "transfer-buffer entries per cluster",
+        "buffer-depth", (2, 4, 8, 16, 32), _buffers,
+    ),
+    "partitioner": Sweep(
+        "partitioner (column 'local %' is the partitioned binary)",
+        "partitioner", tuple(_PARTITIONERS), _partitioner,
+    ),
+    "assignment": Sweep(
+        "register-to-cluster assignment",
+        "assignment", tuple(_ASSIGNMENTS), _assignment,
+    ),
+    "unroll": Sweep(
+        "loop unrolling factor (Section 6 future work)",
+        "unroll", (1, 2, 4), _unroll,
+    ),
+    "globals": Sweep(
         "extra global registers (Section 6 future work)",
-        _points(tasks, jobs, journal, sweep="global-widening"),
+        "global-widening", (0, 2, 4), _globals,
+    ),
+    "queue": Sweep(
+        "single-cluster dispatch-queue size",
+        "queue-size", (32, 64, 128, 256), _queue, single_part=True,
+    ),
+    "scope": Sweep(
+        "local-scheduler imbalance scope",
+        "imbalance-scope", ("block", "prefix"), _scope,
+    ),
+    "width": Sweep(
+        "issue width (single vs clustered pair)",
+        "issue-width", (8, 4), _width,
+    ),
+}
+
+
+def _evaluate_point(item, cache) -> BenchmarkEvaluation:
+    """One point's three Section 4 runs (worker-safe)."""
+    from repro.experiments.harness import evaluate_workload
+
+    workload, options = item
+    return evaluate_workload(workload, options, cache=cache)
+
+
+def _queue_point(item, cache) -> QueueSizePoint:
+    """One point's single-cluster run (worker-safe)."""
+    from repro.experiments.harness import evaluate_part_with_retry
+
+    workload, options = item
+    outcome, _ = evaluate_part_with_retry(workload, "single", options, cache)
+    stats = outcome.sim.stats
+    return QueueSizePoint(
+        entries=options.single_config.clusters[0].dispatch_queue_entries,
+        cycles=stats.cycles,
+        branch_accuracy=stats.branch_accuracy,
+        dcache_miss_rate=stats.dcache_miss_rate,
+        issue_disorder=stats.issue_disorder,
     )
 
 
-def run_assignment_ablation(
-    build: Callable[[], Workload],
+def run_ablation(
+    name: str,
+    build: Build,
+    values: Optional[tuple] = None,
+    *,
     trace_length: int = 30_000,
     jobs: int = 1,
     journal: Optional["RunJournal"] = None,
     retry: Optional["RetryPolicy"] = None,
-) -> AblationResult:
-    """Even/odd (the paper's choice) vs low/high register-to-cluster maps."""
-    tasks = [
-        (
-            label,
-            build(),
-            EvaluationOptions(
-                trace_length=trace_length, dual_assignment=assignment, retry=retry
-            ),
-        )
-        for label, assignment in (
-            ("even/odd", RegisterAssignment.even_odd_dual()),
-            ("low/high", RegisterAssignment.low_high_dual()),
-        )
-    ]
+) -> AblationResult | QueueSizeResult:
+    """Run the sweep ``SWEEPS[name]`` over ``values`` (default: its own).
+
+    Returns an :class:`AblationResult`, or a :class:`QueueSizeResult`
+    for the ``queue`` sweep.  Every stage is seeded, so ``jobs != 1``
+    returns exactly the serial points, and a point reused by
+    ``--resume`` *is* the original pickled value.  Points journal under
+    ``{prefix}:{label}``, keyed by a fingerprint of their inputs, so a
+    changed sweep parameter invalidates exactly the changed rows.  All
+    points share one artifact cache, so points that run the same binary
+    compile and trace it once.
+    """
+    from repro.perf.fingerprint import fingerprint
+    from repro.perf.parallel import run_sweep
+    from repro.robustness.journal import options_fingerprint
+
+    sweep = SWEEPS[name]
+    values = sweep.defaults if values is None else values
+    base = EvaluationOptions(trace_length=trace_length, retry=retry)
+    points = [sweep.point(build, value, base) for value in values]
+    if sweep.single_part:
+        fn, simulations = _queue_point, 1
+        fingerprints = [
+            fingerprint(("queue-size/v1", workload.name, trace_length, value))
+            for value, (_, workload, _) in zip(values, points)
+        ]
+    else:
+        fn, simulations = _evaluate_point, 3
+        fingerprints = [options_fingerprint(options) for _, _, options in points]
+    results = run_sweep(
+        fn,
+        [(workload, options) for _, workload, options in points],
+        jobs,
+        keys=[
+            (f"{sweep.prefix}:{label}", fp)
+            for (label, _, _), fp in zip(points, fingerprints)
+        ],
+        journal=journal,
+        cache=ArtifactCache(),
+        trace_length=simulations * trace_length,
+    )
+    if sweep.single_part:
+        return QueueSizeResult(f"{sweep.title} ({build().name})", results)
     return AblationResult(
-        "register-to-cluster assignment",
-        _points(tasks, jobs, journal, sweep="assignment"),
+        sweep.title,
+        [
+            AblationPoint(
+                label=label,
+                pct_none=ev.pct_none,
+                pct_local=ev.pct_local,
+                dual_fraction=ev.dual_local.stats.dual_fraction,
+                replays=ev.dual_local.stats.replay_exceptions,
+            )
+            for (label, _, _), ev in zip(points, results)
+        ],
     )

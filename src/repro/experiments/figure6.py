@@ -106,39 +106,11 @@ def run_figure6(imbalance_threshold: int = 2) -> Figure6Result:
     )
 
 
-def _figure6_task(threshold: int, cache) -> Figure6Result:
-    """One sweep point (worker-safe; the walk-through needs no cache)."""
-    return run_figure6(threshold)
-
-
 def run_figure6_sweep(
     thresholds: tuple[int, ...] = (0, 1, 2, 4, 8),
-    jobs: int = 1,
-    journal=None,
 ) -> list[tuple[int, Figure6Result]]:
-    """Run the Figure 6 walk-through across imbalance thresholds.
-
-    The worked example is deterministic per threshold, so the sweep is
-    embarrassingly parallel; ``jobs != 1`` fans the points out to worker
-    processes with identical results.  A ``journal``
-    (:class:`~repro.robustness.journal.RunJournal`) makes the sweep
-    resumable: journaled thresholds are reused verbatim and only missing
-    points are recomputed.
-    """
-    from repro.perf.fingerprint import fingerprint
-    from repro.perf.parallel import run_sweep
-
-    results = run_sweep(
-        _figure6_task,
-        thresholds,
-        jobs,
-        keys=[
-            (f"figure6:threshold={t}", fingerprint(("figure6/v1", t)))
-            for t in thresholds
-        ],
-        journal=journal,
-    )
-    return list(zip(thresholds, results))
+    """Run the Figure 6 walk-through across imbalance thresholds."""
+    return [(threshold, run_figure6(threshold)) for threshold in thresholds]
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

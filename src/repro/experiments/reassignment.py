@@ -123,52 +123,15 @@ class ReassignmentResult:
         return self.dynamic < min(self.static_even_odd, self.static_low_high)
 
 
-def _reassignment_task(item, cache):
-    """One of the three machine runs, worker-safe (rebuilds its trace)."""
-    phase_length, which = item
+def run_reassignment_demo(phase_length: int = 2000) -> ReassignmentResult:
+    """Race the two static maps against the dynamically switching machine."""
+    static = build_two_phase_trace(phase_length, dynamic=False)
     config = dual_cluster_config()
-    if which == "even_odd":
-        trace = build_two_phase_trace(phase_length, dynamic=False)
-        assignment = RegisterAssignment.even_odd_dual()
-    elif which == "low_high":
-        trace = build_two_phase_trace(phase_length, dynamic=False)
-        assignment = RegisterAssignment.low_high_dual()
-    else:
-        trace = build_two_phase_trace(phase_length, dynamic=True)
-        assignment = RegisterAssignment.even_odd_dual()
-    return make_processor(config, assignment).run(trace)
-
-
-def run_reassignment_demo(
-    phase_length: int = 2000, jobs: int = 1, journal=None
-) -> ReassignmentResult:
-    """Race the two static maps against the dynamically switching machine.
-
-    The three runs are independent; ``jobs != 1`` runs them in worker
-    processes with bit-identical cycle counts (traces are rebuilt
-    deterministically inside each worker).  A ``journal``
-    (:class:`~repro.robustness.journal.RunJournal`) journals each
-    machine's simulation result, so an interrupted demo resumes with only
-    the missing machines recomputed."""
-    from repro.perf.fingerprint import fingerprint
-    from repro.perf.parallel import run_sweep
-
-    machines = ["even_odd", "low_high", "dynamic"]
-    sims = run_sweep(
-        _reassignment_task,
-        [(phase_length, which) for which in machines],
-        jobs,
-        keys=[
-            (
-                f"reassignment:{which}",
-                fingerprint(("reassignment/v1", phase_length, which)),
-            )
-            for which in machines
-        ],
-        journal=journal,
-        trace_length=2 * phase_length,
+    even_odd = make_processor(config, RegisterAssignment.even_odd_dual()).run(static)
+    low_high = make_processor(config, RegisterAssignment.low_high_dual()).run(static)
+    dynamic = make_processor(config, RegisterAssignment.even_odd_dual()).run(
+        build_two_phase_trace(phase_length, dynamic=True)
     )
-    even_odd, low_high, dynamic = sims
     return ReassignmentResult(
         static_even_odd=even_odd.cycles,
         static_low_high=low_high.cycles,

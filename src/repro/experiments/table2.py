@@ -22,7 +22,6 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import difflib
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
@@ -38,19 +37,10 @@ from repro.experiments.harness import (
     evaluate_part_with_retry,
 )
 from repro.perf.cache import ArtifactCache
-from repro.workloads.spec92 import PAPER_TABLE2, SPEC92
+from repro.workloads.spec92 import PAPER_TABLE2, SPEC92, check_benchmark
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robustness.journal import RunJournal
-
-
-def _unknown_benchmark(name: str, valid: Iterable[str]) -> ConfigError:
-    valid = sorted(valid)
-    message = f"unknown benchmark {name!r}; valid benchmarks: {', '.join(valid)}"
-    close = difflib.get_close_matches(name, valid, n=1)
-    if close:
-        message += f" (did you mean {close[0]!r}?)"
-    return ConfigError(message, benchmark=name)
 
 
 @dataclass
@@ -76,9 +66,6 @@ class Table2Result:
     failures: list[BenchmarkFailure] = field(default_factory=list)
 
     def row(self, benchmark: str) -> Table2Row:
-        for r in self.rows:
-            if r.benchmark == benchmark:
-                return r
         for failure in self.failures:
             if failure.benchmark == benchmark:
                 raise ConfigError(
@@ -88,7 +75,8 @@ class Table2Result:
                     benchmark=benchmark,
                     error_type=failure.error_type,
                 )
-        raise _unknown_benchmark(benchmark, [r.benchmark for r in self.rows])
+        check_benchmark(benchmark, [r.benchmark for r in self.rows])
+        return next(r for r in self.rows if r.benchmark == benchmark)
 
 
 def _journal_failure(
@@ -198,8 +186,7 @@ def run_table2(
 
     names = list(benchmarks) if benchmarks is not None else sorted(SPEC92)
     for name in names:
-        if name not in SPEC92:
-            raise _unknown_benchmark(name, SPEC92)
+        check_benchmark(name)
     options = options or EvaluationOptions()
     if isinstance(journal, (str,)) or (
         journal is not None and not hasattr(journal, "record_completed")

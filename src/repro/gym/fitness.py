@@ -42,7 +42,7 @@ from repro.perf.cache import ArtifactCache
 from repro.perf.fingerprint import fingerprint
 from repro.timing.palacharla import TECHNOLOGIES, MachineShape, cycle_time
 from repro.uarch.config import ProcessorConfig, single_cluster_config
-from repro.workloads.spec92 import SPEC92, build_benchmark
+from repro.workloads.spec92 import SPEC92, build_benchmark, check_benchmark
 
 #: The six SPEC92 stand-ins, in registry order.
 ALL_BENCHMARKS: tuple[str, ...] = tuple(SPEC92)
@@ -86,11 +86,7 @@ class GymSettings:
         if not self.benchmarks:
             raise ConfigError("gym settings name no benchmarks")
         for name in self.benchmarks:
-            if name not in SPEC92:
-                raise ConfigError(
-                    f"unknown benchmark {name!r}; choose from {sorted(SPEC92)}",
-                    benchmark=name,
-                )
+            check_benchmark(name)
 
     @property
     def settings_fingerprint(self) -> str:

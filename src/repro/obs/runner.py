@@ -28,7 +28,7 @@ from repro.obs.stall import StallAccounting
 from repro.obs.trace import JsonlSink, MemorySink, TraceRecorder, TraceSink
 from repro.perf.cache import ArtifactCache
 from repro.uarch.processor import SimulationResult
-from repro.workloads.spec92 import DEFAULT_TRACE_LENGTH, SPEC92
+from repro.workloads.spec92 import DEFAULT_TRACE_LENGTH, SPEC92, check_benchmark
 
 #: Machine selector accepted by ``repro trace``/``repro stats`` -> the
 #: harness part that simulates it.
@@ -95,15 +95,13 @@ def observe_benchmark(
             one when unset).
     """
     from repro.experiments.harness import EvaluationOptions, evaluate_workload_part
-    from repro.experiments.table2 import _unknown_benchmark
 
     if machine not in MACHINES:
         raise ConfigError(
             f"unknown machine {machine!r}; valid machines: {', '.join(MACHINES)}",
             benchmark=name,
         )
-    if name not in SPEC92:
-        raise _unknown_benchmark(name, SPEC92)
+    check_benchmark(name)
     observed: dict = {}
 
     def attach(processor, trace) -> None:

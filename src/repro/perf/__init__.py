@@ -13,8 +13,7 @@ deterministically reproducible inputs.  This package exploits both axes:
   compilation results and generated traces, with in-memory and on-disk
   tiers plus hit/miss counters;
 * :mod:`repro.perf.parallel` — the one sweep driver behind every
-  ``--jobs N`` sweep (Table 2, ablations, Figure 6 sweeps,
-  reassignment, design-space search);
+  ``--jobs N`` sweep (Table 2, ablations, design-space search);
 * :mod:`repro.perf.executor` — the supervised process pool under the
   driver (task ledger, per-task deadlines, re-dispatch of lost tasks,
   circuit breaker).

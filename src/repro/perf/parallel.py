@@ -2,9 +2,8 @@
 
 The Section 4 methodology is independent across benchmarks *and* across
 the three runs per benchmark, so a Table 2 sweep decomposes into
-``len(benchmarks) * 3`` work units; the ablation, Figure 6,
-queue-size, reassignment and design-space sweeps are lists of
-independent points.  Each unit is re-derived inside the worker from
+``len(benchmarks) * 3`` work units; the ablation and design-space
+sweeps are lists of independent points.  Each unit is re-derived inside the worker from
 small inputs — every stage is seeded and deterministic, so results are
 bit-identical to the serial path, and nothing but small inputs and
 final results crosses the process boundary.

@@ -1,8 +1,8 @@
 """Append-only JSONL run journal: crash-safe sweep progress + resume.
 
 A sweep that dies — SIGKILL, OOM, power loss — must not throw away its
-completed rows.  Every sweep driver (Table 2, ablations, Figure 6,
-reassignment, chaos) can attach a :class:`RunJournal` rooted at a *run
+completed rows.  Every sweep driver (Table 2, ablations, the gym,
+chaos) can attach a :class:`RunJournal` rooted at a *run
 directory*::
 
     run-dir/

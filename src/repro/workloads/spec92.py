@@ -25,7 +25,10 @@ reimplementations; DESIGN.md records the substitution rationale.
 
 from __future__ import annotations
 
-from typing import Callable
+import difflib
+from typing import Callable, Iterable
+
+from repro.errors import ConfigError
 
 from repro.workloads.generator import (
     ArraySpec,
@@ -361,17 +364,21 @@ PAPER_TABLE2: dict[str, tuple[int, int]] = {
 }
 
 
+def check_benchmark(name: str, valid: Iterable[str] = SPEC92) -> None:
+    """Raise the :class:`~repro.errors.ConfigError` every command gives for
+    a benchmark name not in ``valid``: it lists the valid names and
+    suggests the closest one."""
+    if name in valid:
+        return
+    valid = sorted(valid)
+    message = f"unknown benchmark {name!r}; valid benchmarks: {', '.join(valid)}"
+    close = difflib.get_close_matches(name, valid, n=1)
+    if close:
+        message += f" (did you mean {close[0]!r}?)"
+    raise ConfigError(message, benchmark=name)
+
+
 def build_benchmark(name: str) -> Workload:
     """Build one of the six SPEC92 stand-ins by name."""
-    try:
-        return SPEC92[name]()
-    except KeyError:
-        import difflib
-
-        from repro.errors import ConfigError
-
-        message = f"unknown benchmark {name!r}; choose from {sorted(SPEC92)}"
-        close = difflib.get_close_matches(name, SPEC92, n=1)
-        if close:
-            message += f" (did you mean {close[0]!r}?)"
-        raise ConfigError(message, benchmark=name) from None
+    check_benchmark(name)
+    return SPEC92[name]()

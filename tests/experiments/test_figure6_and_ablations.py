@@ -1,9 +1,8 @@
 """Tests for the Figure 6 experiment wrapper and the ablation harnesses."""
 
-from repro.experiments.ablations import (
-    run_assignment_ablation,
-    run_partitioner_ablation,
-)
+from repro.cli import main
+from repro.experiments import harness
+from repro.experiments.ablations import run_ablation
 from repro.experiments.cycle_time import (
     format_cycle_time_analysis,
     run_cycle_time_analysis,
@@ -52,15 +51,37 @@ class TestCycleTimeAnalysis:
 
 class TestAblations:
     def test_partitioner_ablation_runs_all(self):
-        result = run_partitioner_ablation(tiny, trace_length=2500)
+        result = run_ablation("partitioner", tiny, trace_length=2500)
         labels = [p.label for p in result.points]
         assert labels == ["local", "affinity-kl", "round-robin", "random"]
         text = result.format()
         assert "local" in text
 
     def test_assignment_ablation(self):
-        result = run_assignment_ablation(tiny, trace_length=2500)
+        result = run_ablation("assignment", tiny, trace_length=2500)
         assert [p.label for p in result.points] == ["even/odd", "low/high"]
         # The 'none' column is the same binary on the same machine shape,
         # but a different register map changes its distribution.
         assert result.points[0].pct_none != 0 or result.points[1].pct_none != 0
+
+    def test_points_share_one_artifact_cache(self, monkeypatch, capsys):
+        # All five buffer depths run the same native and local binaries:
+        # one compile and one trace each for the whole sweep.
+        calls = {"compile": 0, "trace": 0}
+        real_compile = harness.compile_program
+        real_generate = harness.TraceGenerator.generate
+
+        def compile_program(*args, **kwargs):
+            calls["compile"] += 1
+            return real_compile(*args, **kwargs)
+
+        def generate(self, *args, **kwargs):
+            calls["trace"] += 1
+            return real_generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "compile_program", compile_program)
+        monkeypatch.setattr(harness.TraceGenerator, "generate", generate)
+        main(["ablations", "--benchmark", "compress", "--trace-length", "1000",
+              "--sweeps", "buffers"])
+        assert calls == {"compile": 2, "trace": 2}
+        assert "entries=32" in capsys.readouterr().out

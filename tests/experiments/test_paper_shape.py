@@ -13,12 +13,7 @@ that EXPERIMENTS.md lists next to each table.
 import pytest
 
 from repro.core.distribution import Scenario
-from repro.experiments.ablations import (
-    run_buffer_depth_ablation,
-    run_issue_width_ablation,
-    run_partitioner_ablation,
-    run_threshold_ablation,
-)
+from repro.experiments.ablations import run_ablation
 from repro.experiments.cycle_time import run_cycle_time_analysis
 from repro.experiments.harness import EvaluationOptions, evaluate_workload
 from repro.experiments.scenarios import SCENARIOS, run_scenario
@@ -202,8 +197,8 @@ class TestNetPerformance:
 # ------------------------------------------------- E10 and §6 ablations
 class TestAblationShapes:
     def test_issue_width_companion(self):
-        result = run_issue_width_ablation(
-            build_su2cor, trace_length=ABLATION_TRACE_LENGTH
+        result = run_ablation(
+            "width", build_su2cor, trace_length=ABLATION_TRACE_LENGTH
         )
         assert [p.label for p in result.points] == [
             "8-way vs 2x4-way",
@@ -214,8 +209,8 @@ class TestAblationShapes:
             assert -100 < point.pct_local < 100
 
     def test_buffer_depth(self):
-        result = run_buffer_depth_ablation(
-            build_compress, depths=(2, 8, 32), trace_length=ABLATION_TRACE_LENGTH
+        result = run_ablation(
+            "buffers", build_compress, (2, 8, 32), trace_length=ABLATION_TRACE_LENGTH
         )
         shallow, _paper, deep = result.points
         # Deeper buffers never hurt; very shallow buffers never help.
@@ -223,8 +218,8 @@ class TestAblationShapes:
         assert deep.replays <= shallow.replays
 
     def test_imbalance_threshold(self):
-        result = run_threshold_ablation(
-            build_compress, thresholds=(0, 2, 16), trace_length=ABLATION_TRACE_LENGTH
+        result = run_ablation(
+            "threshold", build_compress, (0, 2, 16), trace_length=ABLATION_TRACE_LENGTH
         )
         fractions = {p.label: p.dual_fraction for p in result.points}
         assert fractions["threshold=16"] <= fractions["threshold=0"] + 0.02
@@ -239,8 +234,8 @@ class TestPartitioners:
         return local.pct_local >= best - 5.0
 
     def test_compress(self):
-        result = run_partitioner_ablation(
-            build_compress, trace_length=PARTITIONER_TRACE_LENGTH
+        result = run_ablation(
+            "partitioner", build_compress, trace_length=PARTITIONER_TRACE_LENGTH
         )
         assert [p.label for p in result.points] == [
             "local",
@@ -253,14 +248,14 @@ class TestPartitioners:
     def test_su2cor(self):
         # Balance-blind baselines never beat the local scheduler by much
         # on the high-ILP benchmark, where balance is everything.
-        result = run_partitioner_ablation(
-            build_su2cor, trace_length=PARTITIONER_TRACE_LENGTH
+        result = run_ablation(
+            "partitioner", build_su2cor, trace_length=PARTITIONER_TRACE_LENGTH
         )
         assert self._local_is_competitive(result)
 
     def test_informed_partitioners_cut_duals(self):
-        result = run_partitioner_ablation(
-            build_compress, trace_length=PARTITIONER_DUALS_TRACE_LENGTH
+        result = run_ablation(
+            "partitioner", build_compress, trace_length=PARTITIONER_DUALS_TRACE_LENGTH
         )
         fractions = {p.label: p.dual_fraction for p in result.points}
         # Random scatters related ranges; the informed partitioners

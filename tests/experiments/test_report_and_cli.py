@@ -38,12 +38,16 @@ EXECUTOR_FLAGS = {
     "--task-timeout": "30",
     "--redispatch-budget": "3",
 }
-#: (command, flag, value) for every flag a command used to accept and ignore.
+#: (command, flag, value) for every flag a command used to accept and
+#: ignore, or that fanned out and journaled a sub-second demo.
 IGNORED_FLAGS = [
     *((command, flag, value)
       for command in ("ablations", "reassignment", "explore")
       for flag, value in EXECUTOR_FLAGS.items()),
     ("explore", "--retries", "3"),
+    *((command, flag, value)
+      for command in ("figure6", "reassignment")
+      for flag, value in (("--jobs", "2"), ("--resume", "run"))),
 ]
 
 #: A minimal argument vector each subcommand accepts.

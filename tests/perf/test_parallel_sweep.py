@@ -3,10 +3,8 @@
 import pytest
 
 from repro.errors import CompileError, ConfigError
-from repro.experiments.ablations import run_assignment_ablation, run_queue_size_ablation
-from repro.experiments.figure6 import run_figure6_sweep
+from repro.experiments.ablations import run_ablation
 from repro.experiments.harness import EvaluationOptions
-from repro.experiments.reassignment import run_reassignment_demo
 from repro.experiments.table2 import run_table2
 from repro.perf.cache import ArtifactCache
 from repro.perf.parallel import resolve_jobs
@@ -146,28 +144,15 @@ class TestParallelDegradation:
 class TestDriverParity:
     def test_assignment_ablation(self):
         build = spec92.SPEC92["ora"]
-        serial = run_assignment_ablation(build, trace_length=TL)
-        parallel = run_assignment_ablation(build, trace_length=TL, jobs=2)
+        serial = run_ablation("assignment", build, trace_length=TL)
+        parallel = run_ablation("assignment", build, trace_length=TL, jobs=2)
         assert serial.points == parallel.points
 
     def test_queue_size_ablation(self):
         build = spec92.SPEC92["ora"]
-        serial = run_queue_size_ablation(
-            build, queue_sizes=(32, 64), trace_length=TL
-        )
-        parallel = run_queue_size_ablation(
-            build, queue_sizes=(32, 64), trace_length=TL, jobs=2
-        )
+        serial = run_ablation("queue", build, (32, 64), trace_length=TL)
+        parallel = run_ablation("queue", build, (32, 64), trace_length=TL, jobs=2)
         assert serial.points == parallel.points
-
-    def test_figure6_sweep(self):
-        serial = run_figure6_sweep(thresholds=(0, 2, 8))
-        parallel = run_figure6_sweep(thresholds=(0, 2, 8), jobs=2)
-        assert [(t, r.block_order, r.assignment_order, r.partition) for t, r in serial] \
-            == [(t, r.block_order, r.assignment_order, r.partition) for t, r in parallel]
-
-    def test_reassignment_demo(self):
-        assert run_reassignment_demo(400) == run_reassignment_demo(400, jobs=2)
 
 
 class TestUnknownPart:

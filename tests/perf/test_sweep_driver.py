@@ -8,10 +8,10 @@ import pytest
 import repro.perf.parallel as parallel
 from repro.errors import CompileError, ConfigError, SweepInterrupted
 from repro.experiments import ablations, figure6, harness
-from repro.experiments.figure6 import run_figure6_sweep
 from repro.gym.drivers import SearchSpec, run_search
 from repro.gym.fitness import GymSettings
 from repro.gym.space import DesignSpace
+from repro.perf.fingerprint import fingerprint
 from repro.robustness.journal import RunJournal
 from repro.workloads import spec92
 
@@ -40,6 +40,24 @@ def executors(monkeypatch):
 
     monkeypatch.setattr(parallel, "make_sweep_executor", spy)
     return built
+
+
+def _figure6_point(threshold, cache):
+    """A generic sweep point: the Figure 6 walk-through at one threshold."""
+    return figure6.run_figure6(threshold)
+
+
+def _figure6_sweep(jobs, journal=None):
+    return parallel.run_sweep(
+        _figure6_point,
+        THRESHOLDS,
+        jobs,
+        keys=[
+            (f"figure6:threshold={t}", fingerprint(("figure6/v1", t)))
+            for t in THRESHOLDS
+        ],
+        journal=journal,
+    )
 
 
 def _gym_search(jobs, journal=None):
@@ -102,23 +120,18 @@ class TestInterruptKeepsFinishedPoints:
     def test_figure6_resume_recomputes_only_missing_points(self, tmp_path):
         run_dir = tmp_path / "run"
         assert _interrupted(
-            lambda journal: run_figure6_sweep(THRESHOLDS, jobs=2, journal=journal),
-            run_dir,
+            lambda journal: _figure6_sweep(2, journal), run_dir
         ), "the interrupt must come back as SweepInterrupted"
         assert len(_completed_lines(run_dir, "figure6:")) == 1
 
         with RunJournal(run_dir) as journal:
-            resumed = run_figure6_sweep(THRESHOLDS, jobs=2, journal=journal)
+            resumed = _figure6_sweep(2, journal)
         # One record per point: the resumed run computed only the points
         # the interrupted one had not finished.
         assert sorted(_completed_lines(run_dir, "figure6:")) == sorted(
             f"figure6:threshold={t}" for t in THRESHOLDS
         )
-        plain = run_figure6_sweep(THRESHOLDS)
-        assert [(t, r.block_order, r.assignment_order, r.partition)
-                for t, r in resumed] == \
-            [(t, r.block_order, r.assignment_order, r.partition)
-             for t, r in plain]
+        assert resumed == [figure6.run_figure6(t) for t in THRESHOLDS]
 
     def test_gym_batch_resume_matches_uninterrupted(self, tmp_path):
         run_dir = tmp_path / "gym"
@@ -155,7 +168,7 @@ class TestGenericSweepErrors:
     ):
         monkeypatch.setattr(figure6, "run_figure6", _sabotaged_figure6)
         with pytest.raises(CompileError) as info:
-            run_figure6_sweep(THRESHOLDS, jobs=2)
+            _figure6_sweep(2)
         assert info.value.message == "sabotaged point"
         assert info.value.context["stage"] == "lowering"
         # The worker's traceback comes home chained as text.
@@ -170,8 +183,8 @@ class TestGenericSweepErrors:
 
         monkeypatch.setattr(harness, "evaluate_workload", sabotaged)
         with pytest.raises(ConfigError) as info:
-            ablations.run_assignment_ablation(
-                spec92.SPEC92["ora"], trace_length=400, jobs=2
+            ablations.run_ablation(
+                "assignment", spec92.SPEC92["ora"], trace_length=400, jobs=2
             )
         assert info.value.message == "sabotaged ablation point"
         assert info.value.context["field"] == "dual_assignment"

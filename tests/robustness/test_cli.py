@@ -18,6 +18,15 @@ class TestErrorHandling:
         assert stderr.startswith("error: ConfigError:")
         assert "did you mean 'compress'?" in stderr
 
+    def test_ablations_unknown_benchmark_is_a_config_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ablations", "--benchmark", "compres"])
+        assert info.value.code == ConfigError.exit_code
+        stderr = capsys.readouterr().err.strip()
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: ConfigError: unknown benchmark 'compres'")
+        assert "did you mean 'compress'?" in stderr
+
     def test_simulation_error_exit_code_distinct(self, capsys, monkeypatch):
         from repro.experiments import table2 as table2_module
 

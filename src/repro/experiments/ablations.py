@@ -291,6 +291,24 @@ def _queue_point(item, cache) -> QueueSizePoint:
     )
 
 
+def _point_fingerprint(workload: Workload, options: EvaluationOptions) -> str:
+    """Journal fingerprint of one point: the built workload's identity
+    (what ``compile_key`` and ``trace_key`` hash) and its options."""
+    from repro.perf.fingerprint import fingerprint
+    from repro.robustness.journal import options_fingerprint
+
+    return fingerprint(
+        (
+            "ablation-point/v1",
+            workload.name,
+            workload.program,
+            workload.streams,
+            workload.behaviors,
+            options_fingerprint(options),
+        )
+    )
+
+
 def run_ablation(
     name: str,
     build: Build,
@@ -307,35 +325,27 @@ def run_ablation(
     for the ``queue`` sweep.  Every stage is seeded, so ``jobs != 1``
     returns exactly the serial points, and a point reused by
     ``--resume`` *is* the original pickled value.  Points journal under
-    ``{prefix}:{label}``, keyed by a fingerprint of their inputs, so a
-    changed sweep parameter invalidates exactly the changed rows.  All
+    ``{prefix}:{label}``, keyed by a fingerprint of their inputs — the
+    built workload and the evaluation options — so a changed sweep
+    parameter invalidates exactly the changed rows, and a journal written
+    for one benchmark serves no point of another.  All
     points share one artifact cache, so points that run the same binary
     compile and trace it once.
     """
-    from repro.perf.fingerprint import fingerprint
     from repro.perf.parallel import run_sweep
-    from repro.robustness.journal import options_fingerprint
 
     sweep = SWEEPS[name]
     values = sweep.defaults if values is None else values
     base = EvaluationOptions(trace_length=trace_length, retry=retry)
     points = [sweep.point(build, value, base) for value in values]
-    if sweep.single_part:
-        fn, simulations = _queue_point, 1
-        fingerprints = [
-            fingerprint(("queue-size/v1", workload.name, trace_length, value))
-            for value, (_, workload, _) in zip(values, points)
-        ]
-    else:
-        fn, simulations = _evaluate_point, 3
-        fingerprints = [options_fingerprint(options) for _, _, options in points]
+    fn, simulations = (_queue_point, 1) if sweep.single_part else (_evaluate_point, 3)
     results = run_sweep(
         fn,
         [(workload, options) for _, workload, options in points],
         jobs,
         keys=[
-            (f"{sweep.prefix}:{label}", fp)
-            for (label, _, _), fp in zip(points, fingerprints)
+            (f"{sweep.prefix}:{label}", _point_fingerprint(workload, options))
+            for label, workload, options in points
         ],
         journal=journal,
         cache=ArtifactCache(),

@@ -155,9 +155,6 @@ class EvaluationOptions:
     dual_config: Optional[ProcessorConfig] = None
     dual_assignment: Optional[RegisterAssignment] = None
     compiler: CompilerOptions = field(default_factory=CompilerOptions)
-    #: Pre-flight validation of configs, assignments, and traces
-    #: (repro.robustness.validate) before each simulation.
-    validate: bool = True
     #: Enable the simulator's per-cycle invariant checker.
     self_check: bool = False
     #: Watchdog cycle budget per simulation (0 = derived default).
@@ -317,10 +314,7 @@ def evaluate_workload_part(
         config = options.apply_robustness(options.dual_config or dual_cluster_config())
         assignment = dual_assignment
 
-    if options.validate:
-        validate_run(
-            config, assignment, trace, compiled.machine, benchmark=workload.name
-        )
+    validate_run(config, assignment, trace, compiled.machine, benchmark=workload.name)
     if plan or observe is not None:
         processor = make_processor(config, assignment)
         if plan:

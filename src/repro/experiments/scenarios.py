@@ -25,6 +25,7 @@ from repro.isa.instructions import MachineInstruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import Register, int_reg
 from repro.ir.machine_program import MachineProgram
+from repro.obs.trace import TraceRecorder
 from repro.uarch.config import dual_cluster_config
 from repro.uarch.engine import make_processor
 from repro.workloads.trace import DynamicInstruction
@@ -147,14 +148,14 @@ def run_scenario(number: int) -> ScenarioTimeline:
     ]
     scenario_seq = len(dict.fromkeys(spec.srcs))  # the add follows the producers
     processor = make_processor(dual_cluster_config(), scenario_assignment())
-    processor.event_log = []
+    processor.recorder = TraceRecorder.memory()
     processor.run(trace)
     plan = processor._plan_cache.get(trace[scenario_seq].instr.uid)
     if plan is None:
         from repro.core.distribution import plan_for_instruction
 
         plan = plan_for_instruction(trace[scenario_seq].instr, scenario_assignment())
-    events = [e for e in processor.event_log if e[2] == scenario_seq]
+    events = [e for e in processor.recorder.events if e[2] == scenario_seq]
     issues = [
         (c, role, cl) for c, kind, _s, role, cl in events if kind in ("issue", "reissue")
     ]

@@ -44,7 +44,6 @@ from repro.gym.fitness import (
 )
 from repro.gym.pareto import pareto_frontier
 from repro.gym.space import DesignPoint, DesignSpace
-from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import ArtifactCache
 from repro.perf.parallel import run_sweep
 from repro.robustness.journal import RunJournal
@@ -112,8 +111,6 @@ class SearchResult:
     trials: list[tuple[int, int, TrialResult]]
     #: Non-dominated set over full-length trials only.
     frontier: list[TrialResult]
-    #: Per-generation fitness summary (obs series; JSON-native).
-    fitness_series: list[dict]
     #: Trials replayed from the journal instead of re-simulated.
     journal_hits: int = 0
 
@@ -152,14 +149,12 @@ class _Evaluator:
         cache: Optional[ArtifactCache],
         journal: Optional[RunJournal],
         jobs: int = 1,
-        metrics: Optional[MetricsRegistry] = None,
         spans=None,
     ) -> None:
         self.settings = settings
         self.cache = cache if cache is not None else ArtifactCache()
         self.journal = journal
         self.jobs = jobs
-        self.metrics = metrics or MetricsRegistry()
         self.spans = spans
         self.trials: list[tuple[int, int, TrialResult]] = []
         self.journal_hits = 0
@@ -214,7 +209,6 @@ class _Evaluator:
         for trial in out:
             self.trials.append((self._index, generation, trial))
             self._index += 1
-        self._record_generation(generation, out)
         self._emit_spans(generation, settings, out)
         return out
 
@@ -279,36 +273,6 @@ class _Evaluator:
             )
         self.spans.write_all(spans)
 
-    def _record_generation(self, generation: int, trials: list[TrialResult]) -> None:
-        if not trials:
-            return
-        speedups = [t.speedup for t in trials]
-        best = max(speedups)
-        mean = sum(speedups) / len(speedups)
-        self.metrics.gauge(
-            "gym_generation_best_speedup",
-            "Best wall-clock speedup in a search generation",
-            generation=str(generation),
-        ).set(best)
-        self.metrics.gauge(
-            "gym_generation_mean_speedup",
-            "Mean wall-clock speedup in a search generation",
-            generation=str(generation),
-        ).set(mean)
-        self.metrics.counter(
-            "gym_trials_total", "Design points evaluated by the search"
-        ).inc(len(trials))
-
-
-def _fitness_entry(generation: int, trials: list[TrialResult]) -> dict:
-    speedups = sorted((t.speedup for t in trials), reverse=True)
-    return {
-        "generation": generation,
-        "trials": len(trials),
-        "best_speedup": round(speedups[0], 9),
-        "mean_speedup": round(sum(speedups) / len(speedups), 9),
-    }
-
 
 def _rank_key(trial: TrialResult) -> tuple:
     """Deterministic fitness order: speedup desc, slug as tiebreak."""
@@ -316,33 +280,25 @@ def _rank_key(trial: TrialResult) -> tuple:
 
 
 # ------------------------------------------------------------------ drivers
-def _run_random(
-    spec: SearchSpec, space: DesignSpace, evaluator: _Evaluator
-) -> list[dict]:
+def _run_random(spec: SearchSpec, space: DesignSpace, evaluator: _Evaluator) -> None:
     rng = random.Random(spec.seed)
     points = [space.sample(rng) for _ in range(spec.budget)]
-    trials = evaluator.evaluate(points, generation=0)
-    return [_fitness_entry(0, trials)]
+    evaluator.evaluate(points, generation=0)
 
 
-def _run_grid(
-    spec: SearchSpec, space: DesignSpace, evaluator: _Evaluator
-) -> list[dict]:
+def _run_grid(spec: SearchSpec, space: DesignSpace, evaluator: _Evaluator) -> None:
     points = list(space.grid())
     if not points:
         raise ConfigError("design-space grid is empty", space=repr(space))
-    trials = evaluator.evaluate(points, generation=0)
-    return [_fitness_entry(0, trials)]
+    evaluator.evaluate(points, generation=0)
 
 
 def _run_evolutionary(
     spec: SearchSpec, space: DesignSpace, evaluator: _Evaluator
-) -> list[dict]:
+) -> None:
     rng = random.Random(spec.seed)
-    series: list[dict] = []
     population = [space.sample(rng) for _ in range(spec.population)]
     scored = list(zip(population, evaluator.evaluate(population, generation=0)))
-    series.append(_fitness_entry(0, [t for _, t in scored]))
 
     def tournament() -> DesignPoint:
         contenders = [rng.choice(scored) for _ in range(spec.tournament)]
@@ -358,8 +314,6 @@ def _run_evolutionary(
             next_population.append(child)
         trials = evaluator.evaluate(next_population, generation=generation)
         scored = list(zip(next_population, trials))
-        series.append(_fitness_entry(generation, trials))
-    return series
 
 
 def halving_rungs(settings: GymSettings, spec: SearchSpec) -> list[int]:
@@ -377,20 +331,17 @@ def _run_halving(
     space: DesignSpace,
     evaluator: _Evaluator,
     settings: GymSettings,
-) -> list[dict]:
+) -> None:
     rng = random.Random(spec.seed)
     survivors = [space.sample(rng) for _ in range(spec.budget)]
-    series: list[dict] = []
     rungs = halving_rungs(settings, spec)
     for rung, trace_length in enumerate(rungs):
         rung_settings = replace(settings, trace_length=trace_length)
         trials = evaluator.evaluate(survivors, generation=rung, settings=rung_settings)
-        series.append(_fitness_entry(rung, trials))
         if rung < len(rungs) - 1:
             ranked = sorted(zip(survivors, trials), key=lambda pair: _rank_key(pair[1]))
             keep = max(1, len(ranked) // spec.eta)
             survivors = [point for point, _ in ranked[:keep]]
-    return series
 
 
 # -------------------------------------------------------------- entry point
@@ -402,14 +353,13 @@ def run_search(
     jobs: int = 1,
     cache: Optional[ArtifactCache] = None,
     journal: Optional[RunJournal] = None,
-    metrics: Optional[MetricsRegistry] = None,
     spans=None,
 ) -> SearchResult:
     """Run one seeded search end to end.
 
     The baseline is computed (or replayed from the journal) first; every
     trial then flows through one :class:`_Evaluator`, so trajectory
-    indices, journal rows, and obs series all agree.
+    indices, journal rows, and spans all agree.
     """
     space = space or DesignSpace()
     settings = settings or GymSettings()
@@ -421,16 +371,16 @@ def run_search(
             ("gym-trace/v1", fingerprint(spec), settings.settings_fingerprint)
         )[:16]
 
-    evaluator = _Evaluator(settings, cache, journal, jobs, metrics, spans)
+    evaluator = _Evaluator(settings, cache, journal, jobs, spans)
     baseline = evaluator.baseline_for(settings)
     if spec.driver == "random":
-        series = _run_random(spec, space, evaluator)
+        _run_random(spec, space, evaluator)
     elif spec.driver == "grid":
-        series = _run_grid(spec, space, evaluator)
+        _run_grid(spec, space, evaluator)
     elif spec.driver == "evolutionary":
-        series = _run_evolutionary(spec, space, evaluator)
+        _run_evolutionary(spec, space, evaluator)
     else:
-        series = _run_halving(spec, space, evaluator, settings)
+        _run_halving(spec, space, evaluator, settings)
 
     # Frontier over full-length trials only: short halving rungs rank
     # survivors but are not comparable to full-trace cycle counts.
@@ -446,7 +396,6 @@ def run_search(
         baseline=baseline,
         trials=evaluator.trials,
         frontier=pareto_frontier(full),
-        fitness_series=series,
         journal_hits=evaluator.journal_hits,
     )
 

@@ -1,13 +1,12 @@
 """Typed pipeline tracing: the flight recorder's event stream.
 
-The processor used to expose ``event_log`` as a list of raw
-``(cycle, event, seq, role, cluster)`` 5-tuples.  This module replaces
-that with :class:`PipelineEvent` — a typed, immutable record that still
-*behaves* like the old tuple (indexing, unpacking, equality), so every
-existing consumer keeps working — behind a :class:`TraceRecorder` that
-fans events out to pluggable sinks:
+Each event is a :class:`PipelineEvent` — a typed, immutable record that
+*behaves* like the raw ``(cycle, event, seq, role, cluster)`` 5-tuple
+(indexing, unpacking, equality), so consumers may unpack it — recorded
+through a :class:`TraceRecorder` (``processor.recorder``) that fans
+events out to pluggable sinks:
 
-* :class:`MemorySink` — unbounded in-memory list (the old behaviour);
+* :class:`MemorySink` — unbounded in-memory list (``recorder.events``);
 * :class:`RingSink` — bounded ring buffer keeping the last N events,
   for long runs where only the recent past matters;
 * :class:`JsonlSink` — streaming JSONL file, one event per line, so a

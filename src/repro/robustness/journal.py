@@ -135,7 +135,7 @@ def options_fingerprint(options: Any) -> str:
             options.dual_config,
             options.dual_assignment,
             options.compiler,
-            options.validate,
+            True,  # pre-flight validation, always on; kept so keys stay put
             options.self_check,
             options.cycle_budget,
             options.fault_plan,

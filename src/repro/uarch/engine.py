@@ -11,7 +11,7 @@ design-space sweeps far beyond the paper's two machines practical.
 
 Where the speed comes from (DESIGN.md §14):
 
-1. **Per-trace columns.**  ``start`` lowers the trace into parallel arrays
+1. **Per-trace columns.**  ``advance`` lowers the trace into parallel arrays
    ("struct of arrays"): one column of I-cache line ids and one column of
    per-instruction flag bitmasks (control/conditional/taken/load/store/
    divide/reassign/homeless).  The columns are plain Python lists built
@@ -43,9 +43,13 @@ transitions in the same order within every cycle.  Replay exceptions
 model itself) and the cold paths (dynamic register reassignment,
 fast-forward, diagnostics) run the inherited reference
 implementation.
-The observability hooks (``recorder``, ``metrics_hook``, ``stall_acct``,
-invariant self-checks) and fault injectors are honoured at the same
-points as the reference model.
+
+The fused loop carries no hooks.  A run with any hook attached — the
+event ``recorder``, ``stall_acct``, ``metrics_hook``, the invariant
+self-check, or a fault injector — steps the inherited reference loop
+instead, so every hook has one implementation and sees exactly what it
+sees on the reference model.  Hooks attach before the run starts
+(``advance`` raises :class:`~repro.errors.ConfigError` otherwise).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from typing import Optional, Sequence
 
 from repro.core.distribution import DistributionPlan, Scenario, plan_for_instruction
 from repro.core.registers import RegisterAssignment
+from repro.errors import ConfigError
 from repro.isa.opcodes import InstrClass, Opcode
 from repro.isa.registers import RegisterClass
 from repro.uarch.config import ProcessorConfig
@@ -218,15 +223,15 @@ class BatchedProcessor(Processor):
     """Struct-of-arrays engine; bit-identical to :class:`Processor`.
 
     Shares every piece of machine state with the reference model and
-    overrides only ``start`` (column building), ``advance`` (the fused
-    loop), and the dispatch front end (recipes).  Cold paths — replay,
-    reassignment, fast-forward, diagnostics — run the inherited reference
-    code on the shared state.
+    overrides only ``advance`` (the fused loop, which builds the trace
+    columns on first use) and the dispatch front end (recipes).  Cold
+    paths — replay, reassignment, fast-forward, diagnostics — and every
+    hooked run take the inherited reference code on the shared state.
     """
 
     def __init__(self, config: ProcessorConfig, assignment: RegisterAssignment) -> None:
         super().__init__(config, assignment)
-        #: Trace columns (built by :meth:`start`): I-cache line id and
+        #: Trace columns (built by :meth:`advance`): I-cache line id and
         #: flag bitmask per trace position.
         self._col_trace: Optional[Sequence[DynamicInstruction]] = None
         self._col_lines: list[int] = []
@@ -258,11 +263,6 @@ class BatchedProcessor(Processor):
         # The parent reset blocked_on_buffer_since on every surviving uop;
         # squashed uops (which may still carry a stamp) never issue.
         self._bbuf = 0
-
-    def start(self, trace: Sequence[DynamicInstruction], max_cycles: int = 0) -> None:
-        super().start(trace, max_cycles)
-        if self._col_trace is not trace:
-            self._build_columns(trace)
 
     def _build_columns(self, trace: Sequence[DynamicInstruction]) -> None:
         shift = self.icache.line_shift
@@ -325,6 +325,21 @@ class BatchedProcessor(Processor):
     # ------------------------------------------------------------ fused loop
     def advance(self, max_steps: int = 0) -> bool:  # noqa: C901 - deliberately fused
         trace = self._trace
+        if (
+            self.recorder is not None
+            or self.stall_acct is not None
+            or self.metrics_hook is not None
+            or self._invariants is not None
+            or self.fault_hooks
+        ):
+            if self._col_trace is trace:
+                # The fused loop already stepped this run; its in-flight
+                # state (4-field fetch entries, _bbuf) is not the reference's.
+                raise ConfigError(
+                    "attach hooks before the run starts, not between advance() calls",
+                    config=self.config.name,
+                )
+            return super().advance(max_steps)
         if self._col_trace is not trace:
             self._build_columns(trace)
 
@@ -409,25 +424,9 @@ class BatchedProcessor(Processor):
             else:
                 bucket.append(event)
 
-        # Observability handles and fault injectors attach before the run
-        # (never mid-advance), so one hoist per advance() call suffices.
-        recorder = self.recorder
-        acct = self.stall_acct
-        invariants = self._invariants
-        metrics_hook = self.metrics_hook
-        fault_hooks = self.fault_hooks  # list mutated in place by install
-        obs_active = (
-            recorder is not None
-            or acct is not None
-            or invariants is not None
-            or metrics_hook is not None
-            or bool(fault_hooks)
-        )
-
         # Monotonic adders batched into locals and written back by flush()
-        # at every loop exit, before every cold-path call that could read
-        # or dump stats, and once per cycle whenever observability is
-        # attached (so hooks always see exact counters).
+        # at every loop exit and before every cold-path call that could
+        # read or dump stats.
         fstall = 0          # stats.fetch_stall_cycles
         dstall = 0          # stats.dispatch_stall_cycles
         disorder_accum = 0  # stats.issue_disorder_accum
@@ -503,17 +502,6 @@ class BatchedProcessor(Processor):
                 flush()
                 return False
 
-            # ------------------------------------------------- fault hooks
-            if fault_hooks:
-                flush()
-                for fault in fault_hooks:
-                    fault(self, cycle)
-                fetch_buffer = self._fetch_buffer
-                fetch_index = self._fetch_index
-                max_issued = self._max_issued_seq
-                max_dispatched = self._max_dispatched_seq
-                d_inflight = dcache._inflight
-
             # ------------------------------------------------------ events
             # Inlined Processor._process_events / _complete_uop / _wake.
             processed = 0
@@ -534,12 +522,6 @@ class BatchedProcessor(Processor):
                         recent_append(
                             (event_cycle, "complete", entry.seq, role_value, uop.cluster)
                         )
-                        if recorder is not None:
-                            recorder.record(
-                                event_cycle, "complete", entry.seq, role_value, uop.cluster
-                            )
-                        if invariants is not None:
-                            invariants.check_writeback(uop, event_cycle)
                         if uop.dest_phys is not None and uop.writes_dest:
                             rclass, phys = uop.dest_phys
                             rename = clusters[uop.cluster].rename
@@ -646,10 +628,6 @@ class BatchedProcessor(Processor):
                     entry.uops = []
                     seq = entry.seq
                     recent_append((cycle, "retire", seq, "-", -1))
-                    if recorder is not None:
-                        recorder.record(cycle, "retire", seq, "-", -1)
-                    if invariants is not None:
-                        invariants.check_retire(seq, cycle)
                     for cluster_index, rclass, _arch_uid, _phys, prev in entry.rename_undo:
                         if prev is not None:
                             rename = clusters[cluster_index].rename
@@ -668,15 +646,12 @@ class BatchedProcessor(Processor):
             issued_any = False
             for cl, total_limit, template, by_class_acc in issue_templates:
                 ready = cl.ready
-                if not ready and acct is None:
+                if not ready:
                     continue
                 remaining_total = total_limit
                 remaining = template.copy()
                 skipped = []
                 issued = 0
-                class_limited = 0
-                blocked_buffer = 0
-                blocked_divider = 0
                 while ready and remaining_total > 0:
                     item = heappop(ready)
                     seq, phase, uop = item
@@ -686,7 +661,6 @@ class BatchedProcessor(Processor):
                     ff = uop.fastflags
                     ci = ff >> F_CAT_SHIFT
                     if remaining[ci] <= 0:
-                        class_limited += 1
                         skipped.append(item)
                         continue
                     role = uop.role
@@ -731,7 +705,6 @@ class BatchedProcessor(Processor):
                             if uop.blocked_on_buffer_since < 0:
                                 uop.blocked_on_buffer_since = cycle
                                 self._bbuf += 1
-                            blocked_buffer += 1
                             if uop.needs_operand_entry and phase == 0:
                                 buf = clusters[uop.partner.cluster].operand_buffer
                             else:
@@ -744,13 +717,9 @@ class BatchedProcessor(Processor):
                                         buf = cand
                                         break
                             buf.stats.full_stall_cycles += 1
-                        else:
-                            blocked_divider += 1
                         skipped.append(item)
                         continue
                     # ---- _do_issue
-                    if invariants is not None:
-                        invariants.check_issue(uop, cl, cycle, phase)
                     uop.state = ISSUED
                     uop.issue_cycle = cycle
                     if uop.blocked_on_buffer_since >= 0:
@@ -759,8 +728,6 @@ class BatchedProcessor(Processor):
                     event_name = "issue" if phase == 0 else "reissue"
                     role_value = "master" if role is MASTER else "slave"
                     recent_append((cycle, event_name, seq, role_value, uop.cluster))
-                    if recorder is not None:
-                        recorder.record(cycle, event_name, seq, role_value, uop.cluster)
                     by_class_acc[ci] += 1
                     if seq < max_issued:
                         disorder_accum += max_issued - seq
@@ -921,20 +888,10 @@ class BatchedProcessor(Processor):
                     issued += 1
                 for item in skipped:
                     heappush(ready, item)
-                if acct is not None:
-                    acct.note_issue(
-                        cl.index,
-                        issued,
-                        blocked_buffer,
-                        blocked_divider,
-                        class_limited,
-                        occupied=cl.queue_free < cl.config.dispatch_queue_entries,
-                        draining=fetch_index >= trace_len and not fetch_buffer,
-                    )
                 if issued:
                     issued_any = True
                     # Per-uop in the reference; the per-cycle sums are
-                    # equal and no hook can observe the counters mid-issue.
+                    # equal and nothing observes the counters mid-issue.
                     cl.stats.issued += issued
                     stats.uops_executed += issued
                     stats.issue_disorder_samples += issued
@@ -944,8 +901,6 @@ class BatchedProcessor(Processor):
             budget = dispatch_width
             dispatched = False
             dblock = None  # ClusterStats charged by a queue/regfile block
-            if acct is not None:
-                acct.begin_dispatch()
             while budget > 0 and fetch_buffer:
                 dyn, fetch_cycle, mispredicted, fl = fetch_buffer[0]
                 if cycle < fetch_cycle + frontend_depth:
@@ -969,8 +924,6 @@ class BatchedProcessor(Processor):
                     dblock = master_cluster.stats
                     dblock.queue_full_stalls += 1
                     dblock_queue = True
-                    if acct is not None:
-                        acct.note_dispatch_block("queue_full")
                     dstall += 1
                     break
                 m_rename = master_cluster.rename
@@ -981,8 +934,6 @@ class BatchedProcessor(Processor):
                     dblock = master_cluster.stats
                     dblock.regfile_full_stalls += 1
                     dblock_queue = False
-                    if acct is not None:
-                        acct.note_dispatch_block("regfile_full")
                     dstall += 1
                     break
                 is_dual_entry = recipe.is_dual
@@ -993,8 +944,6 @@ class BatchedProcessor(Processor):
                         dblock = slave_cluster.stats
                         dblock.queue_full_stalls += 1
                         dblock_queue = True
-                        if acct is not None:
-                            acct.note_dispatch_block("queue_full")
                         dstall += 1
                         break
                     s_rename = slave_cluster.rename
@@ -1004,8 +953,6 @@ class BatchedProcessor(Processor):
                         dblock = slave_cluster.stats
                         dblock.regfile_full_stalls += 1
                         dblock_queue = False
-                        if acct is not None:
-                            acct.note_dispatch_block("regfile_full")
                         dstall += 1
                         break
                 elif multi:
@@ -1018,8 +965,6 @@ class BatchedProcessor(Processor):
                             dblock = sc.stats
                             dblock.queue_full_stalls += 1
                             dblock_queue = True
-                            if acct is not None:
-                                acct.note_dispatch_block("queue_full")
                             dstall += 1
                             blocked_dispatch = True
                             break
@@ -1030,8 +975,6 @@ class BatchedProcessor(Processor):
                             dblock = sc.stats
                             dblock.regfile_full_stalls += 1
                             dblock_queue = False
-                            if acct is not None:
-                                acct.note_dispatch_block("regfile_full")
                             dstall += 1
                             blocked_dispatch = True
                             break
@@ -1255,8 +1198,6 @@ class BatchedProcessor(Processor):
                     for u in uops:
                         role_value = "master" if u.role is MASTER else "slave"
                         recent_append((cycle, "dispatch", seq, role_value, u.cluster))
-                        if recorder is not None:
-                            recorder.record(cycle, "dispatch", seq, role_value, u.cluster)
                     budget -= len(uops)
                 elif is_dual_entry:
                     entry.outstanding = 2
@@ -1268,9 +1209,6 @@ class BatchedProcessor(Processor):
                         heappush(slave_cluster.ready, (seq, 0, slave))
                     recent_append((cycle, "dispatch", seq, "master", master.cluster))
                     recent_append((cycle, "dispatch", seq, "slave", slave.cluster))
-                    if recorder is not None:
-                        recorder.record(cycle, "dispatch", seq, "master", master.cluster)
-                        recorder.record(cycle, "dispatch", seq, "slave", slave.cluster)
                     budget -= 2
                 else:
                     entry.outstanding = 1
@@ -1278,8 +1216,6 @@ class BatchedProcessor(Processor):
                         master.state = READY
                         heappush(master_cluster.ready, (seq, 0, master))
                     recent_append((cycle, "dispatch", seq, "master", master.cluster))
-                    if recorder is not None:
-                        recorder.record(cycle, "dispatch", seq, "master", master.cluster)
                     budget -= 1
                 rob_append(entry)
                 dispatched = True
@@ -1364,7 +1300,7 @@ class BatchedProcessor(Processor):
                 # ordinary head after it.  A replay this cycle leaves its
                 # victim ready, so the ready test also guards the head read.
                 target = 0
-                if dblock is not None and not obs_active:
+                if dblock is not None:
                     for cl in clusters:
                         if cl.ready:
                             break
@@ -1397,12 +1333,6 @@ class BatchedProcessor(Processor):
                     self.cycle = cycle
                     self._maybe_fast_forward(cycle)
                     cycle = self.cycle
-            if obs_active:
-                flush()
-                if invariants is not None:
-                    invariants.check_cycle(cycle)
-                if metrics_hook is not None:
-                    metrics_hook(self, cycle)
             cycle += 1
             self.cycle = cycle
             steps += 1

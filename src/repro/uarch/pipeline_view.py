@@ -3,7 +3,7 @@
 Renders classic pipeline charts — one row per dynamic instruction, one
 column per cycle — from a :class:`~repro.uarch.processor.Processor` run
 with tracing enabled (a :class:`~repro.obs.trace.TraceRecorder` on
-``processor.recorder``, or the legacy ``event_log`` list).
+``processor.recorder``, or its recorded events).
 Dual-distributed instructions get one row per copy, making the
 master/slave interplay of Figures 2-5 visible on real code:
 
@@ -83,7 +83,7 @@ def render_pipeline(
     """Render the pipeline chart as a string.
 
     Args:
-        event_log: ``Processor.recorder`` (or ``event_log``) after a run.
+        event_log: ``Processor.recorder`` (or its ``events``) after a run.
         trace: optional trace for instruction disassembly in row labels.
         first_seq/last_seq: window of dynamic instructions to show.
         max_width: maximum number of cycle columns.

@@ -52,7 +52,7 @@ from repro.core.registers import RegisterAssignment
 from repro.errors import ConfigError, SimulationError, WatchdogTimeout
 from repro.isa.opcodes import InstrClass
 from repro.isa.registers import RegisterClass, reg_from_uid
-from repro.obs.trace import TraceRecorder, iter_events
+from repro.obs.trace import TraceRecorder
 from repro.uarch.branch_predictor import McFarlingPredictor
 from repro.uarch.buffers import TransferBuffer
 from repro.uarch.caches import Cache
@@ -174,12 +174,13 @@ class Processor:
         self.cycle = 0
 
         # Observability substrate (repro.obs).  All three default to
-        # ``None`` and cost the hot loop one attribute load + None check
-        # each when disabled.
+        # ``None`` and cost this loop one attribute load + None check
+        # each when disabled; the batched model checks them once per
+        # ``advance`` call and steps this loop when any is set.
         #: Optional typed event recorder for fetch/dispatch/issue/
         #: writeback/retire events — the data behind the Figure 2-5
-        #: execution timelines.  See the ``event_log`` property for the
-        #: legacy list-based interface.
+        #: execution timelines (``TraceRecorder.memory()`` keeps them on
+        #: ``recorder.events``).
         self.recorder: Optional[TraceRecorder] = None
         #: Optional per-cycle callback ``hook(processor, cycle)`` —
         #: installed by ``obs.metrics.PipelineMetrics.attach``.
@@ -209,30 +210,6 @@ class Processor:
     def install_fault(self, fault) -> None:
         """Attach a runtime fault injector (see robustness.faultinject)."""
         self.fault_hooks.append(fault)
-
-    @property
-    def event_log(self):
-        """Legacy list-style view of the recorded pipeline events.
-
-        Historically this was ``Optional[list[tuple]]`` that callers
-        assigned ``[]`` to opt in.  It now proxies :attr:`recorder`:
-        reading returns the recorder's retained events (``None`` when
-        tracing is off), and assigning a list installs an in-memory
-        recorder seeded with it, so existing callers work unchanged.
-        """
-        recorder = self.recorder
-        return None if recorder is None else recorder.events
-
-    @event_log.setter
-    def event_log(self, value) -> None:
-        if value is None:
-            self.recorder = None
-        elif isinstance(value, TraceRecorder):
-            self.recorder = value
-        else:
-            recorder = TraceRecorder.memory()
-            recorder.sinks[0].events.extend(iter_events(value))
-            self.recorder = recorder
 
     @property
     def rob_occupancy(self) -> int:

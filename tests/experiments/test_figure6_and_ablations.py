@@ -85,3 +85,21 @@ class TestAblations:
               "--sweeps", "buffers"])
         assert calls == {"compile": 2, "trace": 2}
         assert "entries=32" in capsys.readouterr().out
+
+    def test_resume_never_serves_another_benchmarks_points(self, tmp_path):
+        # Point keys name the sweep and the value, not the benchmark, so
+        # the fingerprint must: a journal written by a compress sweep
+        # holds nothing an ora sweep may reuse.
+        from repro.robustness.journal import RunJournal
+        from repro.workloads.spec92 import SPEC92
+
+        def sweep(name, journal=None):
+            return run_ablation(
+                "threshold", SPEC92[name], (0,), trace_length=500, journal=journal
+            ).format()
+
+        with RunJournal(tmp_path / "run") as journal:
+            compress = sweep("compress", journal)
+        with RunJournal(tmp_path / "run") as journal:
+            resumed = sweep("ora", journal)
+        assert resumed == sweep("ora") != compress

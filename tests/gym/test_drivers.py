@@ -32,7 +32,6 @@ from repro.gym.report import (
     trial_record,
 )
 from repro.gym.space import DesignSpace
-from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import ArtifactCache
 from repro.robustness.journal import RunJournal
 
@@ -146,16 +145,6 @@ class TestDeterminism:
         result = run_search(spec_for("random"), SPACE, SETTINGS, cache=cache)
         assert result.best in result.frontier
         assert result.best.speedup == max(t.speedup for t in result.frontier)
-
-    def test_metrics_observe_every_trial(self, cache):
-        metrics = MetricsRegistry()
-        result = run_search(
-            spec_for("random"), SPACE, SETTINGS, cache=cache, metrics=metrics
-        )
-        counter = metrics.counter(
-            "gym_trials_total", "Design points evaluated by the search"
-        )
-        assert counter.value == len(result.trials)
 
 
 class TestJournalResume:

@@ -1,4 +1,4 @@
-"""Typed pipeline tracing: events, sinks, recorder, and back-compat."""
+"""Typed pipeline tracing: events, sinks, and the recorder."""
 
 import json
 
@@ -108,43 +108,11 @@ class TestIterEvents:
         assert [e.kind for e in iter_events(recorder)] == ["retire"]
 
 
-class TestEventLogBackCompat:
-    """``processor.event_log`` stays a drop-in for the old list attribute."""
-
-    def _processor(self):
-        config = dual_cluster_config()
-        return Processor(config, default_assignment_for(config))
-
-    def test_assigning_list_installs_memory_recorder(self):
-        p = self._processor()
-        p.event_log = []
-        p.run(trace_from_instructions([add(4, 0, 1)]))
-        assert p.recorder is not None
-        assert len(p.event_log) > 0
-        # Old-style tuple unpacking still works on the log.
-        for cycle, kind, seq, role, cluster in p.event_log:
-            assert isinstance(cycle, int) and kind
-
-    def test_none_disables(self):
-        p = self._processor()
-        p.event_log = []
-        p.event_log = None
-        assert p.recorder is None and p.event_log is None
-
-    def test_seeding_with_existing_tuples(self):
-        p = self._processor()
-        p.event_log = [(0, "issue", 0, "master", 0)]
-        assert p.event_log == [PipelineEvent(0, "issue", 0, "master", 0)]
-
-    def test_recorder_assignment_direct(self):
-        p = self._processor()
-        recorder = TraceRecorder.ring(16)
-        p.event_log = recorder
-        assert p.recorder is recorder
-
+class TestProcessorRecorder:
     def test_jsonl_recorder_streams_run(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        p = self._processor()
+        config = dual_cluster_config()
+        p = Processor(config, default_assignment_for(config))
         p.recorder = TraceRecorder.jsonl(path)
         p.run(trace_from_instructions([add(4, 0, 1), add(2, 4, 4)]))
         p.recorder.close()

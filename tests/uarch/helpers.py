@@ -11,6 +11,7 @@ from repro.ir.machine_program import MachineProgram
 from repro.isa.instructions import MachineInstruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import int_reg
+from repro.obs.trace import TraceRecorder
 from repro.uarch.config import ProcessorConfig, default_assignment_for
 from repro.uarch.engine import BatchedProcessor
 from repro.uarch.processor import Processor
@@ -106,7 +107,7 @@ def run_trace(
     trace = trace_from_instructions(instructions, addresses, taken)
     processor = Processor(config, assignment or default_assignment_for(config))
     if log_events:
-        processor.event_log = []
+        processor.recorder = TraceRecorder.memory()
     result = processor.run(trace)
     return processor, result
 
@@ -114,7 +115,7 @@ def run_trace(
 def issue_cycles(processor, kinds=("issue", "reissue")) -> dict[tuple[int, str], int]:
     """(seq, role) -> issue cycle, from the event log."""
     cycles = {}
-    for cycle, kind, seq, role, _cluster in processor.event_log:
+    for cycle, kind, seq, role, _cluster in processor.recorder.events:
         if kind in kinds and (seq, role) not in cycles:
             cycles[(seq, role)] = cycle
     return cycles
@@ -122,7 +123,7 @@ def issue_cycles(processor, kinds=("issue", "reissue")) -> dict[tuple[int, str],
 
 def completion_cycles(processor) -> dict[tuple[int, str], int]:
     cycles = {}
-    for cycle, kind, seq, role, _cluster in processor.event_log:
+    for cycle, kind, seq, role, _cluster in processor.recorder.events:
         if kind == "complete":
             cycles[(seq, role)] = cycle
     return cycles

@@ -5,7 +5,8 @@ The contract (DESIGN.md §14): the batched model every run builds through
 different simulated machine.  Every stats counter — the full
 ``stats_fingerprint`` surface — must match the reference model exactly,
 on every Table 2 benchmark, on both machines, when stepped in slices,
-and under fault injection.  The harness-path tests substitute the
+and with every kind of hook attached (observers, fault injectors, the
+self-check), where the events and samples the hooks see must match too.  The harness-path tests substitute the
 reference model at ``make_processor`` (``using_model``), so both models
 run the same compile/trace/validate/simulate path.  The batched model
 must also stay faster: :class:`TestEngineSpeedup` holds it to a
@@ -23,12 +24,15 @@ import pytest
 
 from repro.compiler.pipeline import compile_program
 from repro.core.registers import RegisterAssignment
-from repro.errors import WatchdogTimeout
+from repro.errors import ConfigError, WatchdogTimeout
 from repro.experiments.harness import PARTS, EvaluationOptions, evaluate_workload_part
 from repro.gym.space import ClusterSpec, DesignPoint, DesignSpace
 from repro.isa.instructions import MachineInstruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import int_reg
+from repro.obs.metrics import PipelineMetrics
+from repro.obs.stall import StallAccounting
+from repro.obs.trace import TraceRecorder
 from repro.perf.cache import ArtifactCache
 from repro.perf.fingerprint import fingerprint
 from repro.robustness.faultinject import DuplicateTransferEntry, StuckFunctionalUnit
@@ -366,32 +370,100 @@ class TestWatchdogParity:
         assert result.stats.instructions == 400
 
 
-class TestFaultInjectionParity:
-    @pytest.mark.parametrize(
-        "fault_factory",
-        [
-            lambda: StuckFunctionalUnit(at_cycle=40, cluster=0),
-            lambda: DuplicateTransferEntry(at_cycle=40, cluster=1, kind="operand"),
-        ],
-        ids=["stuck-divider", "duplicate-transfer"],
+#: Trace length of the hooked-parity runs: long enough for dozens of
+#: metrics samples and for both faults to fire mid-run.
+HOOKED_TRACE_LENGTH = 3_000
+
+#: Runtime faults that mutate live machine state mid-run, by hook kind.
+#: Neither degrades compress: it has no FP divides for the stuck divider
+#: to wedge, and the bogus transfer entry only squats on capacity.
+FAULTS = {
+    "stuck-divider": lambda: StuckFunctionalUnit(at_cycle=40, cluster=0),
+    "duplicate-transfer": lambda: DuplicateTransferEntry(
+        at_cycle=40, cluster=1, kind="operand"
+    ),
+}
+
+#: Every benchmark x part with the three observers attached (event
+#: recorder, stall accounting, metrics sampling), then one part with each
+#: further hook kind on top: either fault, or the per-cycle self-check.
+HOOKED_RUNS = [
+    pytest.param(name, part, "observed", id=f"{name}-{part}")
+    for name in sorted(SPEC92)
+    for part in PARTS
+] + [
+    pytest.param("compress", "dual_none", kind, id=kind)
+    for kind in (*FAULTS, "self-check")
+]
+
+
+def _hooked_outcome(name: str, part: str, kind: str, engine: str, cache) -> tuple:
+    """Run one part with every observer (and ``kind``) attached."""
+    observed = {}
+    fault_factory = FAULTS.get(kind)
+
+    def attach(processor, trace) -> None:
+        processor.recorder = TraceRecorder.memory()
+        processor.stall_acct = StallAccounting(
+            [c.issue.total for c in processor.config.clusters]
+        )
+        observed["metrics"] = PipelineMetrics(interval=50).attach(processor)
+        if fault_factory is not None:
+            observed["fault"] = fault_factory()
+            processor.install_fault(observed["fault"])
+        observed["processor"] = processor
+
+    options = EvaluationOptions(
+        trace_length=HOOKED_TRACE_LENGTH, self_check=kind == "self-check"
     )
-    def test_fault_runs_match_across_engines(self, fault_factory):
-        # Faults mutate live machine state mid-run; both engines must
-        # observe the sabotage at the same per-cycle point and end with
-        # the same stats (neither trace has FP divides, so the stuck
-        # divider degrades nothing and the duplicate entry only squats
-        # on capacity — the runs complete either way).
-        results = {}
-        for engine in MODELS:
-            processor = MODELS[engine](
-                dual_cluster_config(), RegisterAssignment.even_odd_dual()
-            )
-            fault = fault_factory()
-            processor.install_fault(fault)
-            result = processor.run(make_trace())
-            assert fault.fired
-            results[engine] = fingerprint(result.stats.as_dict())
-        assert results["batched"] == results["reference"]
+    with using_model(MODELS[engine]):
+        stats = evaluate_workload_part(
+            SPEC92[name](), part, options, cache, observe=attach
+        ).sim.stats
+    processor = observed["processor"]
+    if "fault" in observed:
+        assert observed["fault"].fired
+    if kind == "self-check":
+        assert processor._invariants.checks_run > 0
+    metrics = observed["metrics"]
+    metrics.finalize(processor)
+    return (
+        fingerprint(stats.as_dict()),
+        processor.recorder.events,
+        stats.stall_attribution,
+        metrics.payload(),
+    )
+
+
+class TestHookedParity:
+    """A run with hooks attached is the reference run, hook for hook.
+
+    ``make_processor``'s model steps the reference loop whenever a hook
+    is attached, so the statistics, every recorded event, the stall
+    attribution and every metrics sample must match the reference
+    model's exactly — including faults that sabotage live state and the
+    per-cycle self-check.
+    """
+
+    @pytest.mark.parametrize("name, part, kind", HOOKED_RUNS)
+    def test_run_matches_reference(self, name, part, kind, artifact_cache):
+        reference, batched = (
+            _hooked_outcome(name, part, kind, engine, artifact_cache)
+            for engine in ("reference", "batched")
+        )
+        labels = ("stats fingerprint", "events", "stall attribution", "metrics")
+        for label, want, got in zip(labels, reference, batched):
+            assert got == want, f"{name} {part} ({kind}): {label} diverged"
+
+    def test_hooks_attach_before_the_run(self):
+        # The two loops keep different in-flight state, so a run cannot
+        # switch from the fused loop to the reference loop midway.
+        processor = _processor("batched")
+        processor.start(make_trace())
+        processor.advance(max_steps=2)
+        processor.recorder = TraceRecorder.memory()
+        with pytest.raises(ConfigError, match="before the run starts"):
+            processor.advance()
 
 
 class TestEventLoopProgress:

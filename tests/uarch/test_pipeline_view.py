@@ -18,24 +18,24 @@ def add(dest, *srcs):
 class TestRows:
     def test_single_instruction_one_row(self):
         p, _ = run_trace([add(4, 0, 2)], dual_cluster_config())
-        rows = build_rows(p.event_log)
+        rows = build_rows(p.recorder.events)
         assert len(rows) == 1
         assert rows[0].role == "master"
 
     def test_dual_instruction_two_rows(self):
         p, _ = run_trace([add(4, 0, 1)], dual_cluster_config())
-        rows = build_rows(p.event_log)
+        rows = build_rows(p.recorder.events)
         assert len(rows) == 2
         assert {r.role for r in rows} == {"master", "slave"}
 
     def test_window_filters(self):
         p, _ = run_trace([add(0, 28, 28) for _ in range(6)], single_cluster_config())
-        rows = build_rows(p.event_log, first_seq=2, last_seq=3)
+        rows = build_rows(p.recorder.events, first_seq=2, last_seq=3)
         assert {r.seq for r in rows} == {2, 3}
 
     def test_event_letters(self):
         p, _ = run_trace([add(4, 0, 2)], dual_cluster_config())
-        rows = build_rows(p.event_log)
+        rows = build_rows(p.recorder.events)
         letters = set(rows[0].events.values())
         assert {"D", "I", "C"} <= letters
         # Retirement is attached to the master row unless it lands on the
@@ -48,7 +48,7 @@ class TestRendering:
         instrs = [add(4, 0, 1)]
         p, _ = run_trace(instrs, dual_cluster_config())
         trace = trace_from_instructions(instrs)
-        text = render_pipeline(p.event_log, trace)
+        text = render_pipeline(p.recorder.events, trace)
         assert "D=dispatch" in text
         assert "master" in text and "slave" in text
         assert "addq" in text
@@ -60,12 +60,12 @@ class TestRendering:
         instrs = [add(4, 0, 1), add(2, 2, 2)]
         p1, _ = run_trace(instrs, dual_cluster_config())
         p2, _ = run_trace(instrs, dual_cluster_config())
-        assert render_pipeline(p1.event_log) == render_pipeline(p2.event_log)
+        assert render_pipeline(p1.recorder.events) == render_pipeline(p2.recorder.events)
 
     def test_slave_issue_visible_before_master(self):
         """The rendered chart shows the Figure 2 ordering."""
         p, _ = run_trace([add(4, 0, 1)], dual_cluster_config())
-        text = render_pipeline(p.event_log)
+        text = render_pipeline(p.recorder.events)
         lines = text.splitlines()[1:]
         master_line = next(line for line in lines if "master" in line)
         slave_line = next(line for line in lines if "slave" in line)
@@ -73,8 +73,8 @@ class TestRendering:
 
     def test_max_width_truncates_columns(self):
         p, _ = run_trace([add(0, 28, 28) for _ in range(8)], single_cluster_config())
-        narrow = render_pipeline(p.event_log, max_width=4)
-        wide = render_pipeline(p.event_log, max_width=200)
+        narrow = render_pipeline(p.recorder.events, max_width=4)
+        wide = render_pipeline(p.recorder.events, max_width=200)
         narrow_cells = narrow.splitlines()[1].split("@c")[1][1:]
         wide_cells = wide.splitlines()[1].split("@c")[1][1:]
         assert len(narrow_cells) <= len(wide_cells)
@@ -88,13 +88,13 @@ class TestEventSources:
         from repro.obs.trace import PipelineEvent
 
         p, _ = run_trace([add(4, 0, 2)], dual_cluster_config())
-        assert all(isinstance(e, PipelineEvent) for e in p.event_log)
+        assert all(isinstance(e, PipelineEvent) for e in p.recorder.events)
 
     def test_recorder_renders_like_its_events(self):
         p, _ = run_trace([add(4, 0, 1)], dual_cluster_config())
-        assert render_pipeline(p.recorder) == render_pipeline(p.event_log)
+        assert render_pipeline(p.recorder) == render_pipeline(p.recorder.events)
 
     def test_raw_tuples_still_render(self):
         p, _ = run_trace([add(4, 0, 1)], dual_cluster_config())
-        raw = [tuple(e) for e in p.event_log]
-        assert render_pipeline(raw) == render_pipeline(p.event_log)
+        raw = [tuple(e) for e in p.recorder.events]
+        assert render_pipeline(raw) == render_pipeline(p.recorder.events)

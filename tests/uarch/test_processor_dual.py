@@ -184,7 +184,7 @@ class TestReplayException:
         p, result = run_trace(instrs, config)
         assert result.stats.instructions == len(instrs)
         # Every instruction retired exactly once.
-        retires = [seq for _c, kind, seq, _r, _cl in p.event_log if kind == "retire"]
+        retires = [seq for _c, kind, seq, _r, _cl in p.recorder.events if kind == "retire"]
         assert sorted(retires) == list(range(len(instrs)))
         assert retires == sorted(retires)
 
@@ -194,5 +194,5 @@ class TestHomelessInstructions:
         br = MachineInstruction(Opcode.BR, target="b0")
         trace_instrs = [br, br]
         p, _ = run_trace(trace_instrs, dual_cluster_config())
-        clusters = {cl for _c, kind, _s, _r, cl in p.event_log if kind == "issue"}
+        clusters = {cl for _c, kind, _s, _r, cl in p.recorder.events if kind == "issue"}
         assert clusters == {0, 1}

@@ -4,6 +4,7 @@ penalties."""
 from repro.isa.instructions import MachineInstruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import int_reg
+from repro.obs.trace import TraceRecorder
 from repro.uarch.config import (
     default_assignment_for,
     single_cluster_config,
@@ -49,10 +50,10 @@ class TestMisprediction:
     def test_mispredict_costs_more_than_correct(self):
         config = single_cluster_config()
         correct = Processor(config, default_assignment_for(config))
-        correct.event_log = []
+        correct.recorder = TraceRecorder.memory()
         correct.run(self._branch_trace(predict_wrong=False))
         wrong = Processor(config, default_assignment_for(config))
-        wrong.event_log = []
+        wrong.recorder = TraceRecorder.memory()
         wrong.run(self._branch_trace(predict_wrong=True))
         gap_ok = issue_cycles(correct)[(1, "master")] - issue_cycles(correct)[(0, "master")]
         gap_bad = issue_cycles(wrong)[(1, "master")] - issue_cycles(wrong)[(0, "master")]

@@ -117,7 +117,7 @@ class TestRetirement:
     def test_retirement_in_program_order(self):
         instrs = [mul(0, 0, 0), add(2, 4, 4)]
         p, _ = run_trace(instrs, single_cluster_config())
-        retire = [(c, seq) for c, kind, seq, _r, _cl in p.event_log if kind == "retire"]
+        retire = [(c, seq) for c, kind, seq, _r, _cl in p.recorder.events if kind == "retire"]
         # The add completes long before the mul but retires after it.
         assert retire[0][1] == 0 and retire[1][1] == 1
         assert retire[0][0] <= retire[1][0]
@@ -125,7 +125,7 @@ class TestRetirement:
     def test_retire_width_bounds_throughput(self):
         instrs = [add(2 * (i % 14), 28, 28) for i in range(64)]
         p, _ = run_trace(instrs, single_cluster_config())
-        retire_cycles = [c for c, kind, *_ in p.event_log if kind == "retire"]
+        retire_cycles = [c for c, kind, *_ in p.recorder.events if kind == "retire"]
         by_cycle = {}
         for c in retire_cycles:
             by_cycle[c] = by_cycle.get(c, 0) + 1

@@ -271,16 +271,16 @@ def _evaluate_point(item, cache) -> BenchmarkEvaluation:
     """One point's three Section 4 runs (worker-safe)."""
     from repro.experiments.harness import evaluate_workload
 
-    workload, options = item
-    return evaluate_workload(workload, options, cache=cache)
+    workload, options, memo = item
+    return evaluate_workload(workload, options, cache=cache, memo=memo)
 
 
 def _queue_point(item, cache) -> QueueSizePoint:
     """One point's single-cluster run (worker-safe)."""
     from repro.experiments.harness import evaluate_part_with_retry
 
-    workload, options = item
-    outcome, _ = evaluate_part_with_retry(workload, "single", options, cache)
+    workload, options, memo = item
+    outcome, _ = evaluate_part_with_retry(workload, "single", options, cache, memo=memo)
     stats = outcome.sim.stats
     return QueueSizePoint(
         entries=options.single_config.clusters[0].dispatch_queue_entries,
@@ -330,7 +330,10 @@ def run_ablation(
     parameter invalidates exactly the changed rows, and a journal written
     for one benchmark serves no point of another.  All
     points share one artifact cache, so points that run the same binary
-    compile and trace it once.
+    compile and trace it once, and one simulation memo, so a part that
+    several points share (most points re-run the same ``single`` and
+    ``dual_none`` parts) is simulated once.  Points sent to worker
+    processes each carry their own copy of the memo.
     """
     from repro.perf.parallel import run_sweep
 
@@ -339,9 +342,10 @@ def run_ablation(
     base = EvaluationOptions(trace_length=trace_length, retry=retry)
     points = [sweep.point(build, value, base) for value in values]
     fn, simulations = (_queue_point, 1) if sweep.single_part else (_evaluate_point, 3)
+    memo: dict = {}
     results = run_sweep(
         fn,
-        [(workload, options) for _, workload, options in points],
+        [(workload, options, memo) for _, workload, options in points],
         jobs,
         keys=[
             (f"{sweep.prefix}:{label}", _point_fingerprint(workload, options))

@@ -43,6 +43,7 @@ from repro.core.partition.local import LocalScheduler
 from repro.core.registers import RegisterAssignment
 from repro.errors import ReproError, SimulationError
 from repro.perf.cache import ArtifactCache, compile_key, trace_key
+from repro.perf.fingerprint import fingerprint
 from repro.robustness.faultinject import FaultPlan
 from repro.robustness.retry import RetryPolicy, run_with_retry
 from repro.robustness.validate import validate_run, validate_trace_length
@@ -241,8 +242,9 @@ def _trace_cached(
     ckey: str,
     options: EvaluationOptions,
     cache: ArtifactCache,
-) -> Sequence:
-    """Generate the dynamic trace through the artifact cache."""
+) -> tuple[Sequence, str]:
+    """Generate the dynamic trace through the artifact cache; returns
+    (trace, trace key)."""
     key = trace_key(
         ckey, workload.streams, workload.behaviors,
         options.trace_seed, options.trace_length,
@@ -254,7 +256,7 @@ def _trace_cached(
             seed=options.trace_seed,
         ).generate(options.trace_length)
         cache.put("trace", key, trace)
-    return trace
+    return trace, key
 
 
 def evaluate_workload_part(
@@ -264,6 +266,7 @@ def evaluate_workload_part(
     cache: Optional[ArtifactCache] = None,
     *,
     observe: Optional[Callable[[Processor, Sequence], None]] = None,
+    memo: Optional[dict] = None,
 ) -> PartOutcome:
     """Run one of the three Section 4 simulations for one workload.
 
@@ -276,6 +279,12 @@ def evaluate_workload_part(
     ``observe(processor, trace)``, when given, runs on the built model
     after any fault plan is installed and before the run starts; it is
     where ``repro trace``/``repro stats`` attach their recorders.
+
+    ``memo``, when given, maps the content of a simulation's inputs
+    (compile key, trace key, machine config, register assignment) to its
+    result, so a caller running many evaluations that repeat a part
+    simulates it once.  Runs with a fault plan or an ``observe`` hook
+    neither read nor fill it.
     """
     if part not in PARTS:
         raise ValueError(f"unknown evaluation part {part!r}; valid: {PARTS}")
@@ -295,7 +304,7 @@ def evaluate_workload_part(
         compiled, ckey = _compile_cached(
             workload, RegisterAssignment.single_cluster(), None, options, cache
         )
-    trace = _trace_cached(workload, compiled, ckey, options, cache)
+    trace, tkey = _trace_cached(workload, compiled, ckey, options, cache)
     plan = options.fault_plan
     if plan:
         # Sabotage a *copy* before validation, exactly where a mangled
@@ -314,6 +323,17 @@ def evaluate_workload_part(
         config = options.apply_robustness(options.dual_config or dual_cluster_config())
         assignment = dual_assignment
 
+    memo_key = None
+    if memo is not None and not plan and observe is None:
+        memo_key = (ckey, tkey, fingerprint(config), fingerprint(assignment))
+        sim = memo.get(memo_key)
+        if sim is not None:
+            return PartOutcome(
+                part=part,
+                sim=sim,
+                compile_result=compiled,
+                trace_length=options.trace_length,
+            )
     validate_run(config, assignment, trace, compiled.machine, benchmark=workload.name)
     if plan or observe is not None:
         processor = make_processor(config, assignment)
@@ -330,6 +350,8 @@ def evaluate_workload_part(
         sim = processor.run(trace)
     else:
         sim = simulate(trace, config, assignment)
+        if memo_key is not None:
+            memo[memo_key] = sim
     return PartOutcome(
         part=part,
         sim=sim,
@@ -361,6 +383,8 @@ def evaluate_workload(
     workload: Workload,
     options: Optional[EvaluationOptions] = None,
     cache: Optional[ArtifactCache] = None,
+    *,
+    memo: Optional[dict] = None,
 ) -> BenchmarkEvaluation:
     """Run the full Section 4 methodology on one workload.
 
@@ -368,18 +392,19 @@ def evaluate_workload(
     survives it propagates (the caller owns degradation).  With no
     policy every part runs once at ``options.fault_attempt``, which is
     how :func:`~repro.robustness.replay.replay` re-runs a recorded
-    attempt.
+    attempt.  ``memo`` is :func:`evaluate_workload_part`'s.
     """
     options = options or EvaluationOptions()
     if cache is None:
         cache = options.cache if options.cache is not None else ArtifactCache()
     if options.retry is None:
         outcomes = [
-            evaluate_workload_part(workload, part, options, cache) for part in PARTS
+            evaluate_workload_part(workload, part, options, cache, memo=memo)
+            for part in PARTS
         ]
     else:
         outcomes = [
-            evaluate_part_with_retry(workload, part, options, cache)[0]
+            evaluate_part_with_retry(workload, part, options, cache, memo=memo)[0]
             for part in PARTS
         ]
     return assemble_evaluation(workload.name, outcomes)
@@ -391,6 +416,8 @@ def evaluate_part_with_retry(
     options: EvaluationOptions,
     cache: Optional[ArtifactCache] = None,
     sleep=time.sleep,
+    *,
+    memo: Optional[dict] = None,
 ) -> tuple[PartOutcome, int]:
     """One evaluation part under the options' retry policy.
 
@@ -402,12 +429,13 @@ def evaluate_part_with_retry(
     ``attempts``, and ``failure_class`` in its context for degradation
     records and replay bundles.
 
-    Returns ``(outcome, attempts_used)``.
+    Returns ``(outcome, attempts_used)``.  ``memo`` is
+    :func:`evaluate_workload_part`'s.
     """
 
     def one_attempt(attempt: int) -> PartOutcome:
         return evaluate_workload_part(
-            workload, part, replace(options, fault_attempt=attempt), cache
+            workload, part, replace(options, fault_attempt=attempt), cache, memo=memo
         )
 
     try:

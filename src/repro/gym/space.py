@@ -229,6 +229,13 @@ class DesignSpace:
         rename (its modulo-N locals plus all globals).  Infeasible points
         raise a typed :class:`ConfigError` naming the violated
         constraint; nothing is clamped silently.
+
+        The space treats a genome and its permutations as one machine
+        (:meth:`canonicalize`), so feasibility is that of the canonical
+        order.  The modulo-N map gives cluster indices different numbers
+        of registers to rename, so a listed order can pass the
+        validators while the canonical one fails: such a point raises
+        too.
         """
         if not point.clusters:
             raise ConfigError("design point has no clusters", point=point.as_dict())
@@ -249,6 +256,16 @@ class DesignSpace:
         assignment = point.assignment()
         validate_config(config)
         validate_assignment(assignment, config)
+        canonical = self.canonicalize(point)
+        if canonical.clusters != point.clusters:
+            try:
+                self.validate(canonical)
+            except ConfigError as error:
+                raise ConfigError(
+                    f"infeasible in canonical cluster order: {error.message}",
+                    canonical=canonical.slug,
+                    **error.context,
+                ) from None
         return config, assignment
 
     def is_feasible(self, point: DesignPoint) -> bool:
@@ -287,7 +304,8 @@ class DesignSpace:
 
         Under the modulo-N register map a permutation of clusters is the
         same machine up to register numbering, so searches treat permuted
-        genomes as one point.  Idempotent; preserves feasibility.
+        genomes as one point.  Idempotent; preserves feasibility (which
+        :meth:`validate` decides on this form).
         """
         ordered = tuple(
             sorted(

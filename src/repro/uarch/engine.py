@@ -30,19 +30,32 @@ Where the speed comes from (DESIGN.md §14):
    per-uop method-call and attribute-lookup overhead.  A run of cycles in
    which dispatch is blocked on a full dispatch queue or register file,
    nothing can issue, and fetch is quiet changes nothing but the stall
-   counters until the next timed change (an event, the end of a fetch
-   stall, a watchdog bound), so the loop counts the run in bulk and jumps
+   counters (and the charges of parked uops, item 4) until the next timed
+   change (an event, the end of a fetch stall, a watchdog bound, a replay
+   stamp coming of age), so the loop counts the run in bulk and jumps
    over it.  The reference model steps every such cycle and is the oracle
    for the bulk counts.
+4. **Parked uops.**  On a two-cluster machine a uop the issue block finds
+   blocked on a full transfer buffer leaves its cluster's ready heap and
+   is parked under that buffer until it has a free entry.  Only the
+   uop's own cluster fills that buffer, so while it stays full every
+   pop would find the uop blocked again: the loop adds the
+   ``full_stall_cycles`` charges those pops would draw in one step per
+   cycle instead of popping and pushing the uop back.  Parked uops go
+   back on the heap before anything that reads ``cluster.ready``.
+5. **A replay check over stamped uops.**  The issue block lists the uops
+   it stamps with ``blocked_on_buffer_since``; the replay check scans
+   only those, and only on a cycle where a stamp comes of age or a
+   transfer buffer gains an entry younger than a qualifying uop charged
+   to it, since nothing else can make a victim.
 
 Why bit-identity holds: the engine *shares the reference model's state
 representation* — the same clusters, rename files, transfer buffers,
 caches, predictor, ROB entries, and uops — and performs the same state
-transitions in the same order within every cycle.  Replay exceptions
-(hot on small-buffer machines, so written for speed in the reference
-model itself) and the cold paths (dynamic register reassignment,
-fast-forward, diagnostics) run the inherited reference
-implementation.
+transitions in the same order within every cycle.  The replay check
+applies the reference rule to fewer candidates; the replay exception
+itself and the cold paths (dynamic register reassignment, fast-forward,
+diagnostics) run the inherited reference implementation.
 
 The fused loop carries no hooks.  A run with any hook attached — the
 event ``recorder``, ``stall_acct``, ``metrics_hook``, the invariant
@@ -101,6 +114,9 @@ F_CAT_SHIFT = 9
 #: by-scenario dispatch counts back into ``stats.by_scenario``.
 _SCEN_OF = {s.value: s for s in Scenario}
 _NUM_SCENARIOS = len(_SCEN_OF)
+
+#: A cycle no run reaches.
+_NEVER = 1 << 62
 
 
 def make_processor(
@@ -224,9 +240,10 @@ class BatchedProcessor(Processor):
 
     Shares every piece of machine state with the reference model and
     overrides only ``advance`` (the fused loop, which builds the trace
-    columns on first use) and the dispatch front end (recipes).  Cold
-    paths — replay, reassignment, fast-forward, diagnostics — and every
-    hooked run take the inherited reference code on the shared state.
+    columns on first use), the dispatch front end (recipes) and the
+    replay check (:meth:`_replay_victim`).  The replay exception, cold
+    paths — reassignment, fast-forward, diagnostics — and every hooked
+    run take the inherited reference code on the shared state.
     """
 
     def __init__(self, config: ProcessorConfig, assignment: RegisterAssignment) -> None:
@@ -236,21 +253,32 @@ class BatchedProcessor(Processor):
         self._col_trace: Optional[Sequence[DynamicInstruction]] = None
         self._col_lines: list[int] = []
         self._col_flags: list[int] = []
-        #: Dispatch recipes keyed ``(id(instr), id(plan))`` for register-
-        #: naming instructions (both referents are kept alive by the trace
-        #: and ``_plan_cache`` respectively, so the ids are stable) and
-        #: ``(id(instr), preferred)`` for homeless ones.  Cleared on
-        #: reassignment.
+        #: Dispatch recipes keyed by ``instr.uid`` for register-naming
+        #: instructions (one plan per static instruction, as in
+        #: ``_plan_cache``) and ``(id(instr), preferred)`` for homeless
+        #: ones.  Cleared on reassignment.
         self._recipes: dict = {}
-        #: Number of live uops with ``blocked_on_buffer_since >= 0``.  The
-        #: fused loop skips the (read-only when nothing is blocked) replay
-        #: scan while this is zero.  A replay resets every surviving
-        #: counter, so the replay override zeroes it; squashed uops never
-        #: issue, so the issue-time decrement stays balanced.
-        self._bbuf = 0
+        #: Per cluster: ``(stamp cycle, ready-heap item)`` for each uop the
+        #: fused loop stamped with ``blocked_on_buffer_since``, in stamping
+        #: (so cycle) order.  The replay check scans these instead of every
+        #: ready item; entries whose uop has since issued are pruned by the
+        #: scan, and a replay (which resets every stamp) clears the lists.
+        self._stamped: list[list] = [[] for _ in self.clusters]
+        #: Per cluster: buffer-blocked ready-heap items parked off the
+        #: heap, keyed by the full transfer buffer each is charged to
+        #: (two-cluster machines only).  Every ``ready`` reader sees them
+        #: back in the heap: see :meth:`_unpark`.
+        self._parked: list[dict] = [{} for _ in self.clusters]
+        #: Transfer buffer -> the lowest ``seq`` of the uops charged to it
+        #: that qualified for replay at the last scan that found no
+        #: victim (:meth:`_replay_victim`).  Only an entry younger than
+        #: that ``seq`` can make a victim before the next stamp comes of
+        #: age.
+        self._replay_watch: dict = {}
 
     # ------------------------------------------------------------- plumbing
     def _handle_reassignment(self, dyn: DynamicInstruction, cycle: int) -> bool:
+        self._unpark()
         done = super()._handle_reassignment(dyn, cycle)
         if done:
             # The parent cleared _plan_cache; recipes embed those plans
@@ -259,10 +287,101 @@ class BatchedProcessor(Processor):
         return done
 
     def _replay(self, survivor: RobEntry, cycle: int) -> None:
+        self._unpark()
         super()._replay(survivor, cycle)
         # The parent reset blocked_on_buffer_since on every surviving uop;
         # squashed uops (which may still carry a stamp) never issue.
-        self._bbuf = 0
+        for stamped in self._stamped:
+            stamped.clear()
+        self._replay_watch.clear()
+
+    def _unpark(self) -> None:
+        """Return every parked uop to its cluster's ready heap.
+
+        Called before any code that reads ``cluster.ready`` (replay,
+        reassignment, a watchdog dump) and when ``advance`` returns, so
+        outside the fused issue block the heaps hold exactly what the
+        reference model's would.
+        """
+        for cluster, parked in zip(self.clusters, self._parked):
+            if parked:
+                ready = cluster.ready
+                for items in parked.values():
+                    for item in items:
+                        heapq.heappush(ready, item)
+                parked.clear()
+
+    def _replay_victim(self, cycle: int) -> tuple[Optional[Uop], int]:
+        """The uop :meth:`Processor._check_replay` would replay, and when
+        to look again.
+
+        Same rule and the same cluster order, but only stamped uops old
+        enough to qualify are scanned (an unstamped uop never qualifies),
+        and each buffer's newest entry is computed once.
+
+        With no victim, the second value is the first cycle at which a
+        stamped uop starts to qualify, and ``_replay_watch`` maps each
+        buffer a qualifying uop is charged to to the lowest such ``seq``.
+        Before that cycle, on two clusters, only a new entry younger than
+        its buffer's watch ``seq`` can make a victim: a qualifying uop's
+        buffer is fixed, and the buffer's newest entry only changes by
+        allocation.  With more clusters the buffer charged for a result
+        can change as receiver buffers drain, so qualifying uops are
+        looked at again next cycle.
+        """
+        threshold = self.config.replay_threshold
+        latest = cycle - threshold
+        clusters = self.clusters
+        ready_state = UopState.READY
+        newest: dict = {}
+        watch = self._replay_watch
+        watch.clear()
+        due = _NEVER
+        for stamped in self._stamped:
+            if not stamped:
+                continue
+            if stamped[0][0] > latest:
+                due = min(due, stamped[0][0] + threshold)
+                continue
+            # Drop uops that issued since they were stamped.
+            stamped[:] = [s for s in stamped if s[1][2].blocked_on_buffer_since >= 0]
+            if stamped and len(clusters) > 2:
+                due = cycle + 1
+            victim: Optional[Uop] = None
+            victim_seq = 0
+            for since, (seq, phase, uop) in stamped:
+                if since > latest:
+                    # Stamped in cycle order: the rest are younger.
+                    due = min(due, since + threshold)
+                    break
+                if (
+                    uop.state is ready_state
+                    and not uop.entry.squashed
+                    and (victim is None or seq < victim_seq)
+                ):
+                    if phase == 0 and uop.needs_operand_entry:
+                        buffer = clusters[uop.partner.cluster].operand_buffer
+                    elif uop.needs_result_entry:
+                        buffer = clusters[uop.partner.cluster].result_buffer
+                        for index in uop.entry.plan.result_receivers:
+                            candidate = clusters[index].result_buffer
+                            if candidate.is_full:
+                                buffer = candidate
+                                break
+                    else:
+                        continue
+                    top = newest.get(buffer)
+                    if top is None:
+                        entries = buffer.entries
+                        top = newest[buffer] = max(entries) if entries else -1
+                    if top > seq:
+                        victim = uop
+                        victim_seq = seq
+                    elif seq < watch.get(buffer, _NEVER):
+                        watch[buffer] = seq
+            if victim is not None:
+                return victim, due
+        return None, due
 
     def _build_columns(self, trace: Sequence[DynamicInstruction]) -> None:
         shift = self.icache.line_shift
@@ -315,11 +434,7 @@ class BatchedProcessor(Processor):
         if plan is None:
             plan = plan_for_instruction(instr, self.assignment)
             self._plan_cache[instr.uid] = plan
-        key = (id(instr), id(plan))
-        recipe = recipes.get(key)
-        if recipe is None:
-            recipe = _Recipe(instr, plan, self.config)
-            recipes[key] = recipe
+        recipe = recipes[instr.uid] = _Recipe(instr, plan, self.config)
         return recipe
 
     # ------------------------------------------------------------ fused loop
@@ -334,7 +449,7 @@ class BatchedProcessor(Processor):
         ):
             if self._col_trace is trace:
                 # The fused loop already stepped this run; its in-flight
-                # state (4-field fetch entries, _bbuf) is not the reference's.
+                # state (4-field fetch entries, parked uops) is not the reference's.
                 raise ConfigError(
                     "attach hooks before the run starts, not between advance() calls",
                     config=self.config.name,
@@ -363,6 +478,7 @@ class BatchedProcessor(Processor):
         frontend_depth = config.frontend_depth
         mispredict_redirect = config.mispredict_redirect
         window = config.progress_window
+        replay_threshold = config.replay_threshold
         limit = self._limit
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -371,7 +487,6 @@ class BatchedProcessor(Processor):
         RC_INT = RegisterClass.INT
         new_uop = Uop.__new__
         new_entry = RobEntry.__new__
-        plan_cache_get = self._plan_cache.get  # dict cleared in place
         recipes_get = self._recipes.get        # dict cleared in place
         WAITING = UopState.WAITING
         READY = UopState.READY
@@ -379,8 +494,19 @@ class BatchedProcessor(Processor):
         SUSPENDED = UopState.SUSPENDED
         DONE = UopState.DONE
         # Per-cluster issue state: the per-class limit template (indexed by
-        # category id, copied each cycle) and a per-advance accumulator of
-        # issued-by-class counts (flushed into ClusterStats by flush()).
+        # category id, copied each cycle), a per-advance accumulator of
+        # issued-by-class counts (flushed into ClusterStats by flush()),
+        # the parked map and stamped list (see __init__), and the seq at
+        # which each category last ran out (read only in a cycle in which
+        # it ran out, so never reset).
+        parked_by = self._parked
+        stamped_by = self._stamped
+        replay_watch = self._replay_watch  # cleared in place
+        # Parking needs the buffer a blocked uop is charged to to be fixed
+        # and filled only by its own cluster's issue: true with two
+        # clusters.  With more, a sibling slave can put the uop's own seq
+        # into the buffer mid-cycle, and the charged receiver can change.
+        park = nclusters == 2
         issue_templates = [
             (
                 cl,
@@ -392,8 +518,11 @@ class BatchedProcessor(Processor):
                     cl.config.issue.control,
                 ],
                 [0, 0, 0, 0],
+                parked_by[i],
+                stamped_by[i],
+                [0, 0, 0, 0],
             )
-            for cl in clusters
+            for i, cl in enumerate(clusters)
         ]
 
         # D-cache internals for the inlined load/store hit path (the
@@ -479,7 +608,7 @@ class BatchedProcessor(Processor):
                     scen_acc[t_i] = 0
             self._max_issued_seq = max_issued
             self._max_dispatched_seq = max_dispatched
-            for t_cl, _total, _limits, t_acc in issue_templates:
+            for t_cl, _total, _limits, t_acc, *_ in issue_templates:
                 if t_acc[0] or t_acc[1] or t_acc[2] or t_acc[3]:
                     by_class = t_cl.stats.issued_by_class
                     for t_i in (0, 1, 2, 3):
@@ -491,6 +620,7 @@ class BatchedProcessor(Processor):
 
         cycle = self.cycle
         steps = 0
+        replay_due = 0  # the first cycle's scan sets it
         while True:
             # -------------------------------------------------- bookkeeping
             fetch_buffer = self._fetch_buffer  # rebound by _replay
@@ -500,6 +630,7 @@ class BatchedProcessor(Processor):
                 return True
             if max_steps and steps >= max_steps:
                 flush()
+                self._unpark()
                 return False
 
             # ------------------------------------------------------ events
@@ -644,9 +775,26 @@ class BatchedProcessor(Processor):
             # ------------------------------------------------------- issue
             # Inlined _issue_all / _issue_cluster / _issue_blocked / _do_issue.
             issued_any = False
-            for cl, total_limit, template, by_class_acc in issue_templates:
+            for cl, total_limit, template, by_class_acc, parked, stamped, cuts in (
+                issue_templates
+            ):
                 ready = cl.ready
-                if not ready:
+                held = None
+                if parked:
+                    # A parked uop goes back on the heap once the buffer it
+                    # is charged to has a free entry.  Until then only this
+                    # cluster's issue can change that buffer, and only by
+                    # filling it, so every pop would find the uop blocked:
+                    # its charges are added in bulk after the loop.
+                    for buf in list(parked):
+                        if len(buf.entries) < buf.capacity:
+                            for item in parked.pop(buf):
+                                heappush(ready, item)
+                    if parked:
+                        held = [(buf, items, len(items)) for buf, items in parked.items()]
+                    elif not ready:
+                        continue
+                elif not ready:
                     continue
                 remaining_total = total_limit
                 remaining = template.copy()
@@ -704,7 +852,9 @@ class BatchedProcessor(Processor):
                         if blocked == "buffer":
                             if uop.blocked_on_buffer_since < 0:
                                 uop.blocked_on_buffer_since = cycle
-                                self._bbuf += 1
+                                stamped.append((cycle, item))
+                                if cycle + replay_threshold < replay_due:
+                                    replay_due = cycle + replay_threshold
                             if uop.needs_operand_entry and phase == 0:
                                 buf = clusters[uop.partner.cluster].operand_buffer
                             else:
@@ -717,6 +867,15 @@ class BatchedProcessor(Processor):
                                         buf = cand
                                         break
                             buf.stats.full_stall_cycles += 1
+                            # An FP-divide master stays on the heap: its
+                            # divider check comes first and can change.
+                            if park and not (ff & F_DIV and role is MASTER):
+                                items = parked.get(buf)
+                                if items is None:
+                                    parked[buf] = [item]
+                                else:
+                                    items.append(item)
+                                continue
                         skipped.append(item)
                         continue
                     # ---- _do_issue
@@ -724,7 +883,6 @@ class BatchedProcessor(Processor):
                     uop.issue_cycle = cycle
                     if uop.blocked_on_buffer_since >= 0:
                         uop.blocked_on_buffer_since = -1
-                        self._bbuf -= 1
                     event_name = "issue" if phase == 0 else "reissue"
                     role_value = "master" if role is MASTER else "slave"
                     recent_append((cycle, event_name, seq, role_value, uop.cluster))
@@ -748,6 +906,8 @@ class BatchedProcessor(Processor):
                             if len(buf.entries) >= buf.capacity:
                                 raise RuntimeError(f"{buf.name} overflow")
                             buf.entries[seq] = cycle
+                            if seq > replay_watch.get(buf, _NEVER):
+                                replay_due = cycle
                             bstats.allocations += 1
                             occupancy = len(buf.entries)
                             if occupancy > bstats.peak_occupancy:
@@ -866,6 +1026,8 @@ class BatchedProcessor(Processor):
                                     if len(buf.entries) >= buf.capacity:
                                         raise RuntimeError(f"{buf.name} overflow")
                                     buf.entries[seq] = cycle
+                                    if seq > replay_watch.get(buf, _NEVER):
+                                        replay_due = cycle
                                     bstats = buf.stats
                                     bstats.allocations += 1
                                     occupancy = len(buf.entries)
@@ -884,10 +1046,32 @@ class BatchedProcessor(Processor):
                         else:
                             bucket.append(("complete", uop))
                     remaining[ci] -= 1
+                    if not remaining[ci]:
+                        cuts[ci] = seq
                     remaining_total -= 1
                     issued += 1
                 for item in skipped:
                     heappush(ready, item)
+                if held is not None:
+                    # The reference pops a held uop, and charges it, if it
+                    # comes before the item that used up the total limit
+                    # and before the one that used up its own category (a
+                    # class-limited uop is skipped before the buffer check).
+                    # Uops parked in this cycle sit past ``n``: charged above.
+                    last = seq if remaining_total <= 0 else None
+                    for buf, items, n in held:
+                        if last is None and min(remaining) > 0:
+                            charged = n
+                        else:
+                            charged = 0
+                            for i in range(n):
+                                h_seq, _phase, h_uop = items[i]
+                                h_ci = h_uop.fastflags >> F_CAT_SHIFT
+                                if (last is None or h_seq < last) and (
+                                    remaining[h_ci] > 0 or h_seq < cuts[h_ci]
+                                ):
+                                    charged += 1
+                        buf.stats.full_stall_cycles += charged
                 if issued:
                     issued_any = True
                     # Per-uop in the reference; the per-cycle sums are
@@ -911,11 +1095,7 @@ class BatchedProcessor(Processor):
                     if not self._handle_reassignment(dyn, cycle):
                         break
                 instr = dyn.instr
-                recipe = None
-                if not fl & F_HOMELESS:
-                    plan = plan_cache_get(instr.uid)
-                    if plan is not None:
-                        recipe = recipes_get((id(instr), id(plan)))
+                recipe = None if fl & F_HOMELESS else recipes_get(instr.uid)
                 if recipe is None:
                     recipe = self._recipe_for(instr, fl)
                 # ---- _resources_available
@@ -1267,13 +1447,16 @@ class BatchedProcessor(Processor):
 
             # ------------------------------------------------------ replay
             # _check_replay can only find a victim when a transfer buffer
-            # exists (dual clusters), something is in flight, and at least
-            # one live uop is stamped buffer-blocked (_bbuf); the reference
-            # call is a read-only no-op otherwise.
-            if dual and rob and self._bbuf:
-                replays = stats.replay_exceptions
-                self._check_replay(cycle)
-                if stats.replay_exceptions != replays:
+            # exists (dual clusters), something is in flight, and a uop
+            # stamped buffer-blocked at least replay_threshold cycles ago
+            # waits on a buffer holding a younger entry; it is a read-only
+            # no-op otherwise.  replay_due is the next cycle at which that
+            # can first hold: a stamp coming of age (_replay_victim) or a
+            # buffer entry younger than its watch seq (the issue block).
+            if dual and rob and cycle >= replay_due:
+                victim, replay_due = self._replay_victim(cycle)
+                if victim is not None:
+                    self._replay(victim.entry, cycle)
                     fetch_buffer = self._fetch_buffer
                     fetch_index = self._fetch_index
 
@@ -1282,8 +1465,9 @@ class BatchedProcessor(Processor):
                 self._last_progress_cycle = cycle
             if not issued_any and not dispatched and not fetched_any and retired == 0:
                 # Dispatch-stall run: the head is blocked on a queue or
-                # register-file check and nothing is ready, so no retire,
-                # issue or dispatch can happen before the next event.  Fetch
+                # register-file check and no ready heap holds a uop, so no
+                # retire, issue or dispatch can happen before the next
+                # event (or a replay, below).  Fetch
                 # fetched nothing, so it is quiet too: stalled, its buffer
                 # full, or the trace exhausted (an I-cache miss starts a
                 # stall).  No transfer-buffer release is pending either:
@@ -1299,7 +1483,12 @@ class BatchedProcessor(Processor):
                 # resource check before its switch is done, and is an
                 # ordinary head after it.  A replay this cycle leaves its
                 # victim ready, so the ready test also guards the head read.
+                # Parked uops may be waiting: their buffers stay full (no
+                # release is pending and nothing issues), so each one draws
+                # one charge per cycle, and the run ends at replay_due,
+                # the first cycle a replay could fire.
                 target = 0
+                parked_any = any(parked_by)
                 if dblock is not None:
                     for cl in clusters:
                         if cl.ready:
@@ -1315,6 +1504,8 @@ class BatchedProcessor(Processor):
                                 bound = self._last_progress_cycle + window + 1
                                 if bound < target:
                                     target = bound
+                            if parked_any and replay_due < target:
+                                target = replay_due
                 skipped = target - cycle - 1
                 if skipped > 0:
                     dstall += skipped
@@ -1327,8 +1518,14 @@ class BatchedProcessor(Processor):
                         or self._fetch_stall_until > cycle
                     ):
                         fstall += skipped
+                    if parked_any:
+                        for parked in parked_by:
+                            for buf, items in parked.items():
+                                buf.stats.full_stall_cycles += skipped * len(items)
                     cycle = target - 1
-                else:
+                elif not parked_any:
+                    # (A parked uop is ready: _maybe_fast_forward would
+                    # return at once.)
                     flush()  # fast-forward may raise with a diagnostic dump
                     self.cycle = cycle
                     self._maybe_fast_forward(cycle)
@@ -1338,6 +1535,7 @@ class BatchedProcessor(Processor):
             steps += 1
             if cycle > limit:
                 flush()
+                self._unpark()
                 raise WatchdogTimeout(
                     f"exceeded cycle budget {limit}",
                     cycle=cycle,
@@ -1347,6 +1545,7 @@ class BatchedProcessor(Processor):
                 )
             if window and cycle - self._last_progress_cycle > window:
                 flush()
+                self._unpark()
                 raise WatchdogTimeout(
                     f"no forward progress for {window} cycles "
                     "(no fetch, dispatch, issue, retire, or event activity)",

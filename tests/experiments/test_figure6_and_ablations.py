@@ -86,6 +86,26 @@ class TestAblations:
         assert calls == {"compile": 2, "trace": 2}
         assert "entries=32" in capsys.readouterr().out
 
+    def test_points_simulate_each_shared_part_once(self, monkeypatch):
+        # Every threshold point runs the same native binary on the same
+        # single and dual machines; only the rescheduled binary changes.
+        values = (0, 1, 2)
+        separately = [
+            run_ablation("threshold", tiny, (value,), trace_length=1000).points[0]
+            for value in values
+        ]
+        calls = []
+        real_simulate = harness.simulate
+
+        def simulate(trace, config, assignment, *args, **kwargs):
+            calls.append(config.name)
+            return real_simulate(trace, config, assignment, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        result = run_ablation("threshold", tiny, values, trace_length=1000)
+        assert sorted(calls) == sorted(["single-8way", "dual-4way"] + ["dual-4way"] * 3)
+        assert result.points == separately
+
     def test_resume_never_serves_another_benchmarks_points(self, tmp_path):
         # Point keys name the sweep and the value, not the benchmark, so
         # the fingerprint must: a journal written by a compress sweep

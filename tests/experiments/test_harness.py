@@ -6,8 +6,11 @@ from repro.errors import ConfigError
 from repro.experiments.harness import (
     EvaluationOptions,
     evaluate_workload,
+    evaluate_workload_part,
     speedup_percent,
 )
+from repro.perf.cache import ArtifactCache
+from repro.robustness.faultinject import FaultPlan, FaultSpec
 from repro.experiments.table2 import Table2Result, Table2Row, format_table2, run_table2
 from repro.workloads.generator import (
     ArraySpec,
@@ -76,6 +79,39 @@ class TestEvaluateWorkload:
         e2 = evaluate_workload(tiny_workload(), EvaluationOptions(trace_length=2000))
         assert e1.single.cycles == e2.single.cycles
         assert e1.dual_local.cycles == e2.dual_local.cycles
+
+
+class TestSimulationMemo:
+    def test_repeated_part_is_served_from_the_memo(self):
+        memo = {}
+        options = EvaluationOptions(trace_length=500, cache=ArtifactCache())
+        first = evaluate_workload_part(tiny_workload(), "single", options, memo=memo)
+        again = evaluate_workload_part(tiny_workload(), "single", options, memo=memo)
+        assert again.sim is first.sim
+        assert len(memo) == 1
+        # Another machine is another key.
+        other = evaluate_workload_part(tiny_workload(), "dual_none", options, memo=memo)
+        assert other.sim.cycles != first.sim.cycles
+        assert len(memo) == 2
+
+    def test_observed_and_faulted_runs_bypass_the_memo(self):
+        memo = {}
+        options = EvaluationOptions(trace_length=500, cache=ArtifactCache())
+        first = evaluate_workload_part(tiny_workload(), "single", options, memo=memo)
+        observed = []
+        watched = evaluate_workload_part(
+            tiny_workload(), "single", options, memo=memo,
+            observe=lambda processor, trace: observed.append(processor),
+        )
+        assert observed and watched.sim is not first.sim
+        plan = FaultPlan((FaultSpec("stuck_divider", part="single", at_cycle=5),))
+        faulted = evaluate_workload_part(
+            tiny_workload(), "single",
+            EvaluationOptions(trace_length=500, cache=options.cache, fault_plan=plan),
+            memo=memo,
+        )
+        assert faulted.sim is not first.sim
+        assert len(memo) == 1
 
 
 class TestTable2Formatting:

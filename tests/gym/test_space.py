@@ -138,6 +138,28 @@ class TestCanonicalize:
             DesignPoint(clusters=(a, b), buffer_entries=4)
         ) == space.canonicalize(DesignPoint(clusters=(b, a), buffer_entries=4))
 
+    def test_feasibility_is_the_canonical_orders(self):
+        # Under the modulo-3 map clusters 0 and 1 rename 12 integer
+        # registers and cluster 2 renames 11, so only the order with the
+        # 12-register cluster last passes the validators, and
+        # fattest-first puts it first.  Every order of the genome is one
+        # point, infeasible in all of them.
+        from repro.robustness.validate import validate_assignment, validate_config
+
+        space = DesignSpace()
+        small, big = ClusterSpec(1, 2, 12), ClusterSpec(1, 1, 13)
+        listed = DesignPoint(clusters=(big, big, small), buffer_entries=1)
+        validate_config(listed.to_config())
+        validate_assignment(listed.assignment(), listed.to_config())
+        canonical = space.canonicalize(listed)
+        assert canonical.clusters == (small, big, big)
+        with pytest.raises(ConfigError, match="canonical cluster order"):
+            space.validate(listed)
+        for order in ((big, big, small), (big, small, big), (small, big, big)):
+            point = DesignPoint(clusters=order, buffer_entries=1)
+            assert space.canonicalize(point) == canonical
+            assert not space.is_feasible(point)
+
     def test_single_cluster_buffers_zeroed(self):
         space = DesignSpace()
         point = DesignPoint(clusters=(ClusterSpec(8, 128, 128),), buffer_entries=8)

@@ -178,7 +178,7 @@ class TestGenericSweepErrors:
     def test_ablation_point_error_keeps_type_and_message(
         self, executors, monkeypatch
     ):
-        def sabotaged(workload, options, cache=None):
+        def sabotaged(workload, options, cache=None, memo=None):
             raise ConfigError("sabotaged ablation point", field="dual_assignment")
 
         monkeypatch.setattr(harness, "evaluate_workload", sabotaged)

@@ -16,6 +16,7 @@ committed floor.
 import copy
 import functools
 import gc
+import heapq
 import random
 import time
 from dataclasses import replace
@@ -29,14 +30,18 @@ from repro.experiments.harness import PARTS, EvaluationOptions, evaluate_workloa
 from repro.gym.space import ClusterSpec, DesignPoint, DesignSpace
 from repro.isa.instructions import MachineInstruction
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import int_reg
+from repro.isa.registers import fp_reg, int_reg
 from repro.obs.metrics import PipelineMetrics
 from repro.obs.stall import StallAccounting
 from repro.obs.trace import TraceRecorder
 from repro.perf.cache import ArtifactCache
 from repro.perf.fingerprint import fingerprint
 from repro.robustness.faultinject import DuplicateTransferEntry, StuckFunctionalUnit
-from repro.uarch.config import dual_cluster_config, single_cluster_config
+from repro.uarch.config import (
+    dual_cluster_config,
+    single_cluster_config,
+    with_buffer_entries,
+)
 from repro.uarch.engine import BatchedProcessor, make_processor
 from repro.uarch.processor import Processor, simulate
 from repro.uarch.uop import RobEntry, Uop
@@ -80,22 +85,28 @@ def _fingerprint(
     cache: ArtifactCache,
     suite=SPEC92,
     trace_length: int = TRACE_LENGTH,
+    **overrides,
 ) -> str:
-    options = EvaluationOptions(trace_length=trace_length, cache=cache)
+    options = EvaluationOptions(trace_length=trace_length, cache=cache, **overrides)
     with using_model(MODELS[engine]):
         outcome = evaluate_workload_part(suite[name](), part, options, cache)
     return fingerprint(outcome.sim.stats.as_dict())
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_trace(name: str):
+    workload = KERNELS[name]()
+    native = compile_program(workload.program, RegisterAssignment.single_cluster())
+    return TraceGenerator(
+        native.machine, workload.streams, workload.behaviors, seed=7
+    ).generate(KERNEL_TRACE_LENGTH)
 
 
 @pytest.fixture(scope="module")
 def listwalk_trace():
     """A native listwalk trace: pointer-chasing loads keep the dispatch
     queues full for whole memory latencies (long dispatch-stall runs)."""
-    workload = KERNELS["listwalk"]()
-    native = compile_program(workload.program, RegisterAssignment.single_cluster())
-    return TraceGenerator(
-        native.machine, workload.streams, workload.behaviors, seed=7
-    ).generate(KERNEL_TRACE_LENGTH)
+    return _kernel_trace("listwalk")
 
 
 def _processor(engine: str, machine: str = "dual", **overrides) -> Processor:
@@ -368,6 +379,194 @@ class TestWatchdogParity:
         processor = MODELS[engine](config, RegisterAssignment.even_odd_dual())
         result = processor.run(make_trace())
         assert result.stats.instructions == 400
+
+
+# --------------------------------------------------------------------------
+# Buffer-starved machines: the fused loop parks a buffer-blocked uop off its
+# cluster's ready heap until the transfer buffer it is charged to has a free
+# entry, and its replay check scans only the uops it stamped.  One- and
+# two-entry buffers keep both paths busy (DESIGN.md §14).
+
+STARVED_DEPTHS = (1, 2)
+DUAL_PARTS = ("dual_none", "dual_local")
+
+
+def _starved(depth: int):
+    return with_buffer_entries(dual_cluster_config(), depth)
+
+
+def _parked_count(processor: BatchedProcessor) -> int:
+    return sum(len(items) for parked in processor._parked for items in parked.values())
+
+
+def _fp_divide_trace():
+    """FP divides and adds whose results cross to cluster 1.
+
+    Sources are even (cluster 0) and destinations odd (cluster 1), so
+    every master executes on cluster 0 and forwards its result through
+    cluster 1's result buffer.  The adds keep that buffer full while the
+    single divider is free, so divide masters are charged to the full
+    buffer (and must stay on the heap); while a divide runs, the next one
+    is divider-blocked instead.
+    """
+    instrs = []
+    for i in range(240):
+        if i % 4 == 0:
+            instrs.append(
+                MachineInstruction(
+                    Opcode.DIVT, dest=fp_reg(1 + 2 * (i % 3)), srcs=(fp_reg(0), fp_reg(2))
+                )
+            )
+        else:
+            instrs.append(
+                MachineInstruction(
+                    Opcode.ADDT,
+                    dest=fp_reg(7 + 2 * (i % 5)),
+                    srcs=(fp_reg(2 * (i % 4)), fp_reg(4)),
+                )
+            )
+    return trace_from_instructions(instrs)
+
+
+class TestBufferStarvedIdentity:
+    @pytest.mark.parametrize("depth", STARVED_DEPTHS)
+    @pytest.mark.parametrize("part", DUAL_PARTS)
+    @pytest.mark.parametrize("name", sorted(SPEC92))
+    def test_spec92_fingerprints_match(self, name, part, depth, artifact_cache):
+        reference, batched = (
+            _fingerprint(name, part, engine, artifact_cache, dual_config=_starved(depth))
+            for engine in ("reference", "batched")
+        )
+        assert batched == reference, f"{name} ({part}, {depth}-entry buffers) diverged"
+
+    @pytest.mark.parametrize("depth", STARVED_DEPTHS)
+    @pytest.mark.parametrize("part", DUAL_PARTS)
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_kernel_fingerprints_match(self, name, part, depth, artifact_cache):
+        reference, batched = (
+            _fingerprint(
+                name, part, engine, artifact_cache,
+                suite=KERNELS, trace_length=KERNEL_TRACE_LENGTH,
+                dual_config=_starved(depth),
+            )
+            for engine in ("reference", "batched")
+        )
+        assert batched == reference, f"{name} ({part}, {depth}-entry buffers) diverged"
+
+    @pytest.mark.parametrize("clusters", [3, 4])
+    def test_wider_machines_with_one_entry_buffers(self, clusters, artifact_cache):
+        # Nothing is parked here, and the replay check looks again every
+        # cycle a stamp qualifies: a result's charged buffer can change.
+        point = DesignPoint(clusters=(ClusterSpec(),) * clusters, buffer_entries=1)
+        results = {}
+        for engine in MODELS:
+            outcome = _gym_outcome(point, "ora", engine, artifact_cache)
+            assert outcome.sim.stats.replay_exceptions > 0
+            results[engine] = (outcome.sim.cycles, fingerprint(outcome.sim.stats.as_dict()))
+        assert results["batched"] == results["reference"]
+
+    def test_fp_divide_masters_meet_full_result_buffers(self):
+        trace = _fp_divide_trace()
+        blocked = {"buffer": 0, "divider": 0}
+
+        class Spy(Processor):
+            def _issue_blocked(self, uop, cluster, cycle, phase):
+                why = super()._issue_blocked(uop, cluster, cycle, phase)
+                if why is not None and uop.opcode is Opcode.DIVT:
+                    blocked[why] += 1
+                return why
+
+        results = {}
+        for engine, model in (("reference", Spy), ("batched", BatchedProcessor)):
+            stats = model(_starved(1), RegisterAssignment.even_odd_dual()).run(trace).stats
+            results[engine] = fingerprint(stats.as_dict())
+        # Divide masters were charged to the full result buffer, and were
+        # divider-blocked too.
+        assert blocked["buffer"] > 0 and blocked["divider"] > 0
+        assert results["batched"] == results["reference"]
+
+    def test_stepwise_advance_matches_reference(self):
+        # One loop step per call: the batched model returns its parked
+        # uops to the heaps before every return, so at each cycle both
+        # models reach, their diagnostic dumps (ready= counts, buffer
+        # occupancy, the event ring) agree.
+        trace = _kernel_trace("strhash")
+        dumps = {}
+        reference = Processor(_starved(1), RegisterAssignment.even_odd_dual())
+        reference.start(trace)
+        while not reference.advance(max_steps=1):
+            dumps[reference.cycle] = reference.diagnostic_dump()
+        expected = fingerprint(reference.finalize().stats.as_dict())
+
+        batched = BatchedProcessor(_starved(1), RegisterAssignment.even_odd_dual())
+        batched.start(trace)
+        compared = 0
+        while not batched.advance(max_steps=1):
+            assert _parked_count(batched) == 0
+            if batched.cycle in dumps:
+                assert batched.diagnostic_dump() == dumps[batched.cycle]
+                compared += 1
+        stats = batched.finalize().stats
+        assert fingerprint(stats.as_dict()) == expected
+        assert compared > len(dumps) // 2
+        assert sum(c.operand_buffer.full_stall_cycles for c in stats.clusters) > 0
+
+    def test_timeout_while_uops_are_parked(self):
+        # strhash on one-entry buffers: at cycle 300 both clusters hold
+        # buffer-blocked uops, parked by the batched model.
+        trace = _kernel_trace("strhash")
+        outcomes = {}
+        for engine in MODELS:
+            processor = MODELS[engine](_starved(1), RegisterAssignment.even_odd_dual())
+            if engine == "batched":
+                parked_at_raise = []
+                unpark = processor._unpark
+
+                def spy(processor=processor, unpark=unpark):
+                    parked_at_raise.append(_parked_count(processor))
+                    unpark()
+
+                processor._unpark = spy
+            with pytest.raises(WatchdogTimeout) as info:
+                processor.run(trace, max_cycles=300)
+            timeout = info.value
+            outcomes[engine] = (
+                timeout.cycle,
+                timeout.seq,
+                fingerprint(processor.finalize().stats.as_dict()),
+                timeout.diagnostics,
+            )
+        assert parked_at_raise[-1] > 0
+        # The dump counts the parked uops as ready.
+        ready = [
+            int(line.split("ready=")[1].split()[0])
+            for line in outcomes["batched"][3]
+            if line.startswith("cluster ")
+        ]
+        assert sum(ready) >= parked_at_raise[-1]
+        assert outcomes["batched"] == outcomes["reference"]
+
+    @pytest.mark.parametrize("name", ["dot", "strhash"])
+    def test_blocked_uops_leave_the_ready_heap(self, name, monkeypatch):
+        # On the paper's dual machine these kernels keep transfer buffers
+        # full.  A heap that kept its buffer-blocked uops popped each of
+        # them again every cycle: 4.3 (dot) and 6.7 (strhash) pops per
+        # issued uop.  Parked, a blocked uop is popped about once per
+        # blocked run (2.1 and 2.0).
+        processor = make_processor(dual_cluster_config(), RegisterAssignment.even_odd_dual())
+        pops = 0
+        heappop = heapq.heappop
+
+        def counting_pop(heap):
+            nonlocal pops
+            if any(heap is cluster.ready for cluster in processor.clusters):
+                pops += 1
+            return heappop(heap)
+
+        monkeypatch.setattr(heapq, "heappop", counting_pop)
+        stats = processor.run(_kernel_trace(name)).stats
+        monkeypatch.undo()
+        assert pops <= 2.5 * stats.uops_executed
 
 
 #: Trace length of the hooked-parity runs: long enough for dozens of

@@ -281,7 +281,7 @@ def _cmd_explore(args: argparse.Namespace) -> None:
 
 
 def _cmd_ablations(args: argparse.Namespace) -> None:
-    from repro.experiments.ablations import SWEEPS, run_ablation
+    from repro.experiments.ablations import SWEEPS, run_ablation, sweep_skip_reason
     from repro.workloads.spec92 import SPEC92, check_benchmark
 
     check_benchmark(args.benchmark)
@@ -289,6 +289,14 @@ def _cmd_ablations(args: argparse.Namespace) -> None:
     journal = _make_journal(args)
     try:
         for name in args.sweeps or SWEEPS:
+            # A default run skips a sweep that cannot change this
+            # benchmark; an explicit --sweeps request for it fails
+            # (run_ablation raises ConfigError).
+            reason = None if args.sweeps else sweep_skip_reason(name, SPEC92[args.benchmark])
+            if reason is not None:
+                print(f"skipped: {reason}")
+                print()
+                continue
             result = run_ablation(
                 name,
                 SPEC92[args.benchmark],
@@ -677,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.set_defaults(func=_cmd_explore)
 
     rp = sub.add_parser("report", help="regenerate everything into REPORT.md")
-    rp.add_argument("--trace-length", type=int, default=40_000)
+    rp.add_argument("--trace-length", type=int, default=30_000)
     rp.add_argument("--output", default="REPORT.md")
     rp.set_defaults(func=_cmd_report)
 

@@ -26,6 +26,7 @@ from repro.core.partition import (
     RoundRobinPartitioner,
 )
 from repro.core.registers import RegisterAssignment
+from repro.errors import ConfigError
 from repro.experiments.harness import BenchmarkEvaluation, EvaluationOptions
 from repro.perf.cache import ArtifactCache
 from repro.uarch.config import (
@@ -114,6 +115,10 @@ class Sweep:
     #: :class:`QueueSizePoint` rows (the dispatch-queue sweep); otherwise
     #: they run all three Section 4 parts.
     single_part: bool = False
+    #: ``skip_reason(workload)`` says why no value of the option can
+    #: change ``workload`` (``None``: it can); ``None`` here means the
+    #: sweep applies to every workload.
+    skip_reason: Optional[Callable[[Workload], Optional[str]]] = None
 
 
 def _threshold(build: Build, threshold: int, base: EvaluationOptions) -> Point:
@@ -171,6 +176,14 @@ def _unroll(build: Build, factor: int, base: EvaluationOptions) -> Point:
                     max(1, model.trip_count // factor), model.jitter
                 )
     return f"unroll x{factor}", workload, base
+
+
+def _no_self_loop(workload: Workload) -> Optional[str]:
+    from repro.compiler.passes.unroll import find_self_loops
+
+    if find_self_loops(workload.program):
+        return None
+    return "it has no self loop to unroll"
 
 
 def _globals(build: Build, count: int, base: EvaluationOptions) -> Point:
@@ -246,7 +259,7 @@ SWEEPS: dict[str, Sweep] = {
     ),
     "unroll": Sweep(
         "loop unrolling factor (Section 6 future work)",
-        "unroll", (1, 2, 4), _unroll,
+        "unroll", (1, 2, 4), _unroll, skip_reason=_no_self_loop,
     ),
     "globals": Sweep(
         "extra global registers (Section 6 future work)",
@@ -291,21 +304,23 @@ def _queue_point(item, cache) -> QueueSizePoint:
     )
 
 
-def _point_fingerprint(workload: Workload, options: EvaluationOptions) -> str:
-    """Journal fingerprint of one point: the built workload's identity
-    (what ``compile_key`` and ``trace_key`` hash) and its options."""
-    from repro.perf.fingerprint import fingerprint
-    from repro.robustness.journal import options_fingerprint
+def sweep_skip_reason(name: str, build: Build) -> Optional[str]:
+    """Why the sweep ``SWEEPS[name]`` cannot change ``build()``'s
+    workload, naming the SPEC92 benchmarks it does apply to; ``None``
+    when it can."""
+    sweep = SWEEPS[name]
+    if sweep.skip_reason is None:
+        return None
+    workload = build()
+    reason = sweep.skip_reason(workload)
+    if reason is None:
+        return None
+    from repro.workloads.spec92 import SPEC92
 
-    return fingerprint(
-        (
-            "ablation-point/v1",
-            workload.name,
-            workload.program,
-            workload.streams,
-            workload.behaviors,
-            options_fingerprint(options),
-        )
+    fits = [b for b in sorted(SPEC92) if sweep.skip_reason(SPEC92[b]()) is None]
+    return (
+        f"the {name} sweep does not apply to {workload.name}: {reason}; "
+        f"it applies to {', '.join(fits) or 'no SPEC92 benchmark'}"
     )
 
 
@@ -333,10 +348,16 @@ def run_ablation(
     compile and trace it once, and one simulation memo, so a part that
     several points share (most points re-run the same ``single`` and
     ``dual_none`` parts) is simulated once.  Points sent to worker
-    processes each carry their own copy of the memo.
+    processes each carry their own copy of the memo.  A sweep that
+    cannot change the workload (:func:`sweep_skip_reason`) raises
+    :class:`~repro.errors.ConfigError` rather than print identical rows.
     """
     from repro.perf.parallel import run_sweep
+    from repro.robustness.journal import workload_fingerprint
 
+    reason = sweep_skip_reason(name, build)
+    if reason is not None:
+        raise ConfigError(reason, sweep=name)
     sweep = SWEEPS[name]
     values = sweep.defaults if values is None else values
     base = EvaluationOptions(trace_length=trace_length, retry=retry)
@@ -348,9 +369,14 @@ def run_ablation(
         [(workload, options, memo) for _, workload, options in points],
         jobs,
         keys=[
-            (f"{sweep.prefix}:{label}", _point_fingerprint(workload, options))
+            (
+                f"{sweep.prefix}:{label}",
+                workload_fingerprint("ablation-point/v1", workload, options),
+            )
             for label, workload, options in points
-        ],
+        ]
+        if journal is not None
+        else [],
         journal=journal,
         cache=ArtifactCache(),
         trace_length=simulations * trace_length,

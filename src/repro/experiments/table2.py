@@ -116,6 +116,21 @@ def _journal_failure(
     )
 
 
+def _row_fingerprint(name: str, options: EvaluationOptions) -> str:
+    """Journal fingerprint of a row: its built workload as well as the
+    options, so a changed generator never serves a stale row.  A
+    benchmark whose build fails has no workload to hash; its row fails
+    the same way in its task and is journaled as failed under the
+    options alone."""
+    from repro.robustness.journal import options_fingerprint, workload_fingerprint
+
+    try:
+        workload = SPEC92[name]()
+    except ReproError:
+        return options_fingerprint(options)
+    return workload_fingerprint("table2-row/v1", workload, options)
+
+
 def _run_part(name: str, part: str, options: EvaluationOptions, cache, build):
     """One (benchmark, part) task: ``(name, part, outcome, attempts, elapsed_s)``.
 
@@ -177,7 +192,8 @@ def run_table2(
     run-directory path — the CLI's ``--resume``) makes the sweep
     crash-safe: every finished row is journaled durably before the sweep
     moves on, completed rows from a previous journal whose inputs
-    fingerprint matches are reused verbatim (so the resumed table is
+    fingerprint (the built workload and the options) matches are reused
+    verbatim (so the resumed table is
     bit-identical to an uninterrupted run), and unrecoverable failures
     leave a replay bundle under the run directory.
     """
@@ -215,17 +231,15 @@ def run_table2(
                 evaluation_spans(spans.trace_id, outcome, attempts=attempts)
             )
 
-    fingerprint = ""
+    fingerprints: dict[str, str] = {}
     evaluations: dict[str, BenchmarkEvaluation] = {}
     failures_by_name: dict[str, BenchmarkFailure] = {}
     pending = names
     if journal is not None:
-        from repro.robustness.journal import options_fingerprint
-
-        fingerprint = options_fingerprint(options)
         pending = []
         for name in names:
-            entry = journal.completed(f"table2:{name}", fingerprint)
+            fingerprints[name] = _row_fingerprint(name, options)
+            entry = journal.completed(f"table2:{name}", fingerprints[name])
             reused = journal.load_artifact(entry)
             if isinstance(reused, BenchmarkEvaluation):
                 evaluations[name] = reused
@@ -311,7 +325,7 @@ def run_table2(
             failures_by_name[name] = failure
             if journal is not None:
                 _journal_failure(
-                    journal, fingerprint, name, failure, sealed, elapsed_s
+                    journal, fingerprints[name], name, failure, sealed, elapsed_s
                 )
             emit_row_spans(failure, row_attempts)
         else:
@@ -320,7 +334,7 @@ def run_table2(
             if journal is not None:
                 journal.record_completed(
                     f"table2:{name}",
-                    fingerprint,
+                    fingerprints[name],
                     artifact_value=evaluation,
                     attempts=row_attempts,
                     elapsed_s=elapsed_s,

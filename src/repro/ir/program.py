@@ -84,6 +84,72 @@ class ILProgram:
                 instr.uid = uid
                 uid += 1
 
+    # ------------------------------------------------------------------ copy
+    def __deepcopy__(self, memo: dict) -> "ILProgram":
+        """A deep copy built field by field, an order of magnitude faster
+        than the generic walk.
+
+        Opcodes, strings and ints are shared; values, the CFG, blocks,
+        instructions and their containers are new.  Instructions are
+        remapped through a vid table, so two instructions that name one
+        value name one (new) value in the copy.  Every copied object is
+        registered in ``memo``, so a deep copy of a structure holding a
+        program and its values stays consistent in either order.  A field
+        added to these classes must be added here too (the copy tests
+        compare attribute names).
+        """
+        new = type(self).__new__(type(self))
+        memo[id(self)] = new
+        new.name = self.name
+        table = []
+        for value in self.values:
+            twin = memo.get(id(value))
+            if twin is None:
+                twin = memo[id(value)] = ILValue(
+                    value.vid,
+                    value.name,
+                    value.rclass,
+                    value.is_stack_pointer,
+                    value.is_global_pointer,
+                )
+            table.append(twin)
+        new.values = memo[id(self.values)] = table
+        new._by_name = memo[id(self._by_name)] = {
+            name: table[value.vid] for name, value in self._by_name.items()
+        }
+
+        cfg = self.cfg
+        new_cfg = new.cfg = memo[id(cfg)] = ControlFlowGraph.__new__(ControlFlowGraph)
+        new_cfg._order = memo[id(cfg._order)] = list(cfg._order)
+        new_cfg.entry_label = cfg.entry_label
+        blocks = new_cfg._blocks = memo[id(cfg._blocks)] = {}
+        for label, block in cfg._blocks.items():
+            twin_block = memo[id(block)] = BasicBlock.__new__(BasicBlock)
+            twin_block.label = block.label
+            instructions = []
+            for instr in block.instructions:
+                srcs = instr.srcs
+                if srcs:
+                    srcs = memo[id(srcs)] = tuple([table[src.vid] for src in srcs])
+                dest = instr.dest
+                twin_instr = memo[id(instr)] = ILInstruction(
+                    instr.opcode,
+                    None if dest is None else table[dest.vid],
+                    srcs,
+                    instr.imm,
+                    instr.target,
+                    instr.uid,
+                    instr.mem_stream,
+                    instr.branch_model,
+                )
+                instructions.append(twin_instr)
+            twin_block.instructions = memo[id(block.instructions)] = instructions
+            twin_block.succ_labels = memo[id(block.succ_labels)] = list(block.succ_labels)
+            twin_block.edge_probs = memo[id(block.edge_probs)] = dict(block.edge_probs)
+            twin_block.profile_count = block.profile_count
+            blocks[label] = twin_block
+        return new
+
     # -------------------------------------------------------------- queries
     def all_instructions(self) -> Iterator[ILInstruction]:
         for block in self.cfg.blocks():

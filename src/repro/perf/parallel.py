@@ -242,7 +242,8 @@ def run_sweep(
     cache in a worker.  An error ``fn`` raises reaches the caller with
     its own type and message.
 
-    ``keys`` holds one journal ``(key, fingerprint)`` per item.  With a
+    ``keys`` holds one journal ``(key, fingerprint)`` per item (it is
+    read only with a ``journal``, so may be empty without one).  With a
     ``journal``, items already journaled under a matching fingerprint are
     reused verbatim and every fresh value is journaled the moment it
     arrives — as a pickled artifact, or as the JSON ``payload`` when

@@ -51,6 +51,7 @@ from repro.robustness.journal import (
     options_fingerprint,
     parse_journal_line,
     shard_journal_paths,
+    workload_fingerprint,
 )
 from repro.robustness.retry import (
     AttemptRecord,
@@ -91,6 +92,7 @@ __all__ = [
     "options_fingerprint",
     "parse_journal_line",
     "shard_journal_paths",
+    "workload_fingerprint",
     "AttemptRecord",
     "RetryOutcome",
     "RetryPolicy",

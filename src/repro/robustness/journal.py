@@ -143,6 +143,26 @@ def options_fingerprint(options: Any) -> str:
     )
 
 
+def workload_fingerprint(tag: str, workload: Any, options: Any) -> str:
+    """Journal fingerprint of one row computed from a built ``workload``
+    under ``options``: ``tag`` (the record kind and its version), the
+    workload's identity (what ``compile_key`` and ``trace_key`` hash)
+    and :func:`options_fingerprint`.  A row journaled for one draw of a
+    benchmark's generator never serves another."""
+    from repro.perf.fingerprint import fingerprint
+
+    return fingerprint(
+        (
+            tag,
+            workload.name,
+            workload.program,
+            workload.streams,
+            workload.behaviors,
+            options_fingerprint(options),
+        )
+    )
+
+
 @dataclass
 class JournalEntry:
     """One journaled row outcome."""
@@ -642,4 +662,5 @@ __all__ = [
     "options_fingerprint",
     "parse_journal_line",
     "shard_journal_paths",
+    "workload_fingerprint",
 ]

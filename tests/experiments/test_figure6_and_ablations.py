@@ -123,3 +123,52 @@ class TestAblations:
         with RunJournal(tmp_path / "run") as journal:
             resumed = sweep("ora", journal)
         assert resumed == sweep("ora") != compress
+
+
+class TestUnrollApplies:
+    """The unroll sweep needs a self loop; elsewhere it would print the
+    same row for every factor."""
+
+    def test_skip_reason_names_the_benchmarks_it_applies_to(self):
+        from repro.experiments.ablations import sweep_skip_reason
+        from repro.workloads.spec92 import SPEC92
+
+        reason = sweep_skip_reason("unroll", SPEC92["compress"])
+        assert reason == (
+            "the unroll sweep does not apply to compress: it has no self loop "
+            "to unroll; it applies to su2cor, tomcatv"
+        )
+        assert sweep_skip_reason("unroll", SPEC92["tomcatv"]) is None
+        assert sweep_skip_reason("threshold", SPEC92["compress"]) is None
+
+    def test_explicit_request_exits_2(self, capsys):
+        import pytest
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ablations", "--benchmark", "compress", "--trace-length", "500",
+                  "--sweeps", "unroll"])
+        assert exit_info.value.code == 2
+        assert "it applies to su2cor, tomcatv" in capsys.readouterr().err
+
+    def test_default_run_prints_one_skipped_line(self, capsys, monkeypatch):
+        from repro.experiments import ablations
+
+        ran = []
+
+        class Done:
+            def format(self):
+                return f"ran {ran[-1]}"
+
+        def fake(name, build, values=None, **kwargs):
+            ran.append(name)
+            return Done()
+
+        monkeypatch.setattr(ablations, "run_ablation", fake)
+        main(["ablations", "--benchmark", "compress", "--trace-length", "500"])
+        out = capsys.readouterr().out
+        assert ran == [name for name in ablations.SWEEPS if name != "unroll"]
+        skipped = [line for line in out.splitlines() if line.startswith("skipped:")]
+        assert skipped == [
+            "skipped: the unroll sweep does not apply to compress: it has no "
+            "self loop to unroll; it applies to su2cor, tomcatv"
+        ]

@@ -39,6 +39,20 @@ class TestSweepDegradation:
         assert "CompileError" in text
         assert "sabotaged" in text
 
+    def test_journaled_sweep_completes_past_a_failing_build(self, monkeypatch, tmp_path):
+        # The journal hashes each built workload up front; a build that
+        # fails there must still degrade to a failure record.
+        from repro.robustness.journal import RunJournal
+
+        monkeypatch.setitem(spec92.SPEC92, "ora", _sabotaged_builder)
+        with RunJournal(tmp_path / "run") as journal:
+            result = run_table2(
+                ["compress", "ora"], EvaluationOptions(trace_length=1500), journal=journal
+            )
+            assert not journal.entry("table2:ora").completed
+        assert [row.benchmark for row in result.rows] == ["compress"]
+        assert [failure.benchmark for failure in result.failures] == ["ora"]
+
     def test_clean_sweep_reports_no_failures(self):
         result = run_table2(["ora"], EvaluationOptions(trace_length=1500))
         assert result.failures == []

@@ -7,6 +7,7 @@ table bit-identical to an uninterrupted sweep — serial and under
 journal.
 """
 
+import functools
 import json
 import os
 import signal
@@ -18,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import EvaluationOptions
-from repro.experiments.table2 import run_table2
+from repro.experiments.table2 import _row_fingerprint, run_table2
 from repro.robustness.journal import RunJournal, options_fingerprint
+from repro.workloads.spec92 import SPEC92, build_compress
 
 BENCHMARKS = ["compress", "ora", "tomcatv"]
 TRACE_LENGTH = 600
@@ -105,10 +107,27 @@ class TestResumeBitIdentity:
         changed = EvaluationOptions(trace_length=TRACE_LENGTH + 100)
         assert options_fingerprint(changed) != options_fingerprint(options())
         with RunJournal(run_dir) as journal:
-            entry = journal.completed(
-                "table2:compress", options_fingerprint(changed)
-            )
-        assert entry is None  # stale row must not be reused
+            key = "table2:compress"
+            assert journal.completed(key, _row_fingerprint("compress", options()))
+            # stale row must not be reused
+            assert journal.completed(key, _row_fingerprint("compress", changed)) is None
+
+    def test_rebuilt_workload_invalidates_journal(self, tmp_path, monkeypatch):
+        # Same name, same options, a different draw of the generator: the
+        # journaled row describes another program and must not be served.
+        run_dir = tmp_path / "run"
+        opts = EvaluationOptions(trace_length=1000)
+        with RunJournal(run_dir) as journal:
+            journaled = run_table2(["compress"], opts, journal=journal)
+            stale = journal.entry("table2:compress").fingerprint
+        monkeypatch.setitem(SPEC92, "compress", functools.partial(build_compress, seed=12))
+        fresh = run_table2(["compress"], opts)
+        assert rows_as_tuples(fresh) != rows_as_tuples(journaled)
+        with RunJournal(run_dir) as journal:
+            resumed = run_table2(["compress"], opts, journal=journal)
+            # The recomputed row is journaled under the new fingerprint.
+            assert journal.entry("table2:compress").fingerprint != stale
+        assert rows_as_tuples(resumed) == rows_as_tuples(fresh)
 
     def test_jobs_do_not_change_fingerprint(self):
         # Worker count is execution shape, not inputs: a serial journal

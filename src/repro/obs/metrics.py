@@ -357,31 +357,6 @@ class PipelineMetrics:
         }
 
 
-def executor_metrics() -> MetricsRegistry:
-    """A registry pre-registered with the sweep-executor counters.
-
-    The supervised executor (:mod:`repro.perf.executor`) increments
-    these as it dispatches, loses, and re-dispatches tasks; registering
-    them up front means a healthy run exports explicit zeros for every
-    failure counter rather than omitting them.
-    """
-    reg = MetricsRegistry()
-    reg.counter("executor_dispatches",
-                "tasks handed to a worker (re-dispatches included)")
-    reg.counter("executor_redispatches",
-                "tasks re-dispatched after a lost worker or expired deadline")
-    reg.counter("executor_affinity_steals",
-                "tasks taken while another worker held their affinity key")
-    reg.counter("executor_tasks_completed", "task results delivered to the sweep")
-    reg.counter("executor_worker_deaths",
-                "worker processes that died or were killed by the supervisor")
-    reg.counter("executor_deadline_expirations",
-                "per-task deadlines that expired (wedged worker or lost result)")
-    reg.counter("executor_degradations",
-                "circuit-breaker trips that degraded the sweep to serial")
-    return reg
-
-
 __all__ = [
     "DEFAULT_MAX_SAMPLES",
     "DEFAULT_SAMPLE_INTERVAL",
@@ -390,5 +365,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PipelineMetrics",
-    "executor_metrics",
 ]

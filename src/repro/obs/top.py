@@ -86,21 +86,21 @@ def collect_status(
             shard.age_s = max(0.0, now - journal_file.stat().st_mtime)
         except OSError:  # pragma: no cover - raced deletion
             pass
+        rows = {}  # key -> latest record, as a resume reads the shard
         try:
             with journal_file.open("r", encoding="utf-8", errors="replace") as fh:
                 for line in fh:
                     kind, value = parse_journal_line(line)
                     if kind == "row":
-                        if value.completed:
-                            shard.rows_completed += 1
-                        else:
-                            shard.rows_failed += 1
+                        rows[value.key] = value
                     elif kind == "heartbeat":
                         shard.heartbeat = value
                     elif kind == "event":
                         status.events.append(value)
         except OSError:  # pragma: no cover - raced deletion
             continue
+        shard.rows_completed = sum(entry.completed for entry in rows.values())
+        shard.rows_failed = len(rows) - shard.rows_completed
         status.shards.append(shard)
     from repro.obs.spans import read_spans, span_files
 

@@ -12,23 +12,24 @@ driver (:func:`repro.perf.parallel.fan_out`):
   :meth:`~SupervisedPoolExecutor.cancel` on interrupt.  Sweep drivers
   see task results in completion order and stay bit-identical to
   serial because every task is a pure function of its ``(benchmark,
-  part, options)`` payload — *which* worker computes it, or how many
-  times, cannot change the value.  It runs one supervised process per
-  slot, each fed through its own inbox queue so the supervisor always
-  knows which task is on which worker, and it is the sweep's task
-  ledger (tickets, affinity dispatch, re-dispatch budget and backoff,
-  the serial step).  Per-task deadlines (sized from the trace length
-  by :func:`default_task_timeout`) are tracked by
-  :class:`TaskLiveness`; a dead pid or an expired deadline costs
-  exactly one task, which is re-dispatched under a bounded budget
-  using the deterministic seeded backoff of
-  :mod:`repro.robustness.retry`.  When workers keep dying — a task
-  exhausts its re-dispatch budget or the pool exceeds its global death
-  budget — a circuit breaker trips: the pool is torn down, an
-  :class:`ExecutorDegradation` event is recorded (the
+  part, options)`` payload — *which* worker or process computes it, or
+  how many times, cannot change the value.  It runs one supervised
+  process per slot, each fed through its own inbox queue so the
+  supervisor always knows which task is on which worker, and it is the
+  sweep's task ledger (tickets, affinity dispatch, re-dispatch budget
+  and backoff).  Per-task deadlines (sized from the trace length by
+  :func:`default_task_timeout`) are tracked by :class:`TaskLiveness`;
+  a dead pid or an expired deadline costs exactly one task, which is
+  re-dispatched under a bounded budget using the deterministic seeded
+  backoff of :mod:`repro.robustness.retry`.  When workers keep dying —
+  a task exhausts its re-dispatch budget or the pool exceeds its
+  global death budget — a circuit breaker trips: the pool is torn
+  down, an :class:`ExecutorDegradation` is recorded (the
   ``BenchmarkFailure`` of the executor layer — an event, not a crash),
-  and the remaining tasks finish serially in-process, so the sweep
-  *always* completes with the same rows.
+  and the open tasks are handed back
+  (:attr:`~SupervisedPoolExecutor.handed_back`) for the driver to run
+  on its own serial path, so the sweep *always* completes with the
+  same rows.
 
 Failure model (what the supervisor treats as a lost task):
 
@@ -64,7 +65,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigError
-from repro.obs.metrics import executor_metrics
 from repro.obs.spans import WallSpans
 from repro.perf.cache import ArtifactCache
 from repro.robustness.retry import RetryPolicy
@@ -88,7 +88,11 @@ BASE_SECONDS_PER_INSTRUCTION = 0.0025
 #: traces expire healthy workers.
 SELF_CHECK_TIMEOUT_FACTOR = 4.0
 
-#: The forked worker's process-local artifact cache.
+#: Seeded re-dispatch backoff (seconds): the first delay and the cap.
+REDISPATCH_BASE_DELAY_S = 0.05
+REDISPATCH_MAX_DELAY_S = 1.0
+
+#: A worker process's own artifact cache.
 _WORKER_CACHE: Optional[ArtifactCache] = None
 
 
@@ -121,17 +125,9 @@ def _init_worker(cache_dir) -> None:
 
 
 def _worker_cache() -> ArtifactCache:
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = ArtifactCache()
+    """The calling worker's artifact cache (see :func:`_init_worker`)."""
+    assert _WORKER_CACHE is not None, "not in a sweep worker"
     return _WORKER_CACHE
-
-
-def _ensure_worker_cache(cache_dir) -> None:
-    """Give the *parent* process a task cache for degraded serial runs."""
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = ArtifactCache(cache_dir)
 
 
 def _mp_context():
@@ -188,11 +184,13 @@ class TaskResult:
 class ExecutorDegradation:
     """``BenchmarkFailure``-style record of a tripped circuit breaker.
 
-    Emitted (never raised) when the supervised pool gives up on its
-    workers and finishes the open tasks in-process, serially: the sweep
-    still completes with bit-identical rows, and this event — journaled
-    as a durable ``status: "event"`` record when a journal is attached
-    — is the audit trail that the faster path was abandoned and why.  ``remaining_tasks`` counts the tasks handed on.
+    Set (never raised) when the supervised pool gives up on its workers
+    and hands the open tasks back to the sweep driver, which runs them
+    serially: the sweep still completes with bit-identical rows, and
+    this event — journaled as a durable ``status: "event"`` record when
+    a journal is attached — is the audit trail that the faster path was
+    abandoned and why.  ``remaining_tasks`` counts the tasks handed
+    back.
     """
 
     reason: str
@@ -295,18 +293,24 @@ class SupervisedPoolExecutor:
     poll, so affinity dispatch sees the whole batch); ``cancel()`` on
     interrupt tears everything down and reports how many tasks never
     completed.  Usable as a context manager (``close()`` on exit).  Each
-    submitted task is delivered exactly once, in completion order.
+    submitted task is either delivered exactly once, in completion
+    order, or — once the breaker has tripped — handed back, in
+    submission order, in :attr:`handed_back`.
 
     One process per slot, each with a private inbox queue, so the
     supervisor knows exactly which task every worker holds.  The
     executor is also the sweep's task ledger: the open/pending/dispatch/
     ticket maps, duplicate dropping, budgeted re-dispatch under the
-    seeded backoff, the in-process serial step and the degradation
-    record.  See the module docstring for the failure model; the key
-    invariant is that a task's value is independent of which worker
-    computes it (tasks are pure functions of their payload), so
-    loss-and-re-dispatch — and even the degraded serial path — keep
-    sweeps bit-identical to serial.
+    seeded backoff and the degradation record.  See the module
+    docstring for the failure model; the key invariant is that a task's
+    value is independent of which worker computes it (tasks are pure
+    functions of their payload), so loss-and-re-dispatch keeps sweeps
+    bit-identical to serial.
+
+    ``task_timeout=None`` derives the per-task deadline from
+    ``trace_length`` and ``self_check`` (:func:`default_task_timeout`);
+    ``seed`` seeds the re-dispatch backoff.  The pool survives at most
+    ``2 * jobs + 2`` worker deaths.
     """
 
     def __init__(
@@ -315,13 +319,16 @@ class SupervisedPoolExecutor:
         jobs: int,
         cache_dir=None,
         *,
-        task_timeout: float = MIN_TASK_TIMEOUT,
+        trace_length: int = 0,
+        task_timeout: Optional[float] = None,
         redispatch_budget: int = 2,
-        redispatch_policy: Optional[RetryPolicy] = None,
-        max_worker_deaths: Optional[int] = None,
         worker_fault_plan=None,
+        seed: int = 0,
+        self_check: bool = False,
         spans=None,
     ) -> None:
+        if task_timeout is None:
+            task_timeout = default_task_timeout(trace_length, self_check=self_check)
         if task_timeout <= 0:
             raise ConfigError(
                 "supervised executor needs task_timeout > 0 seconds",
@@ -337,13 +344,12 @@ class SupervisedPoolExecutor:
         self._cache_dir = cache_dir
         self.task_timeout = task_timeout
         self.redispatch_budget = redispatch_budget
-        self._policy = redispatch_policy or RetryPolicy(
+        self._policy = RetryPolicy(
             max_attempts=redispatch_budget + 1,
-            base_delay=0.05,
-            max_delay=1.0,
-            seed=0,
+            base_delay=REDISPATCH_BASE_DELAY_S,
+            max_delay=REDISPATCH_MAX_DELAY_S,
+            seed=seed,
         )
-        self.metrics = executor_metrics()
         self._wall = WallSpans(spans)
         self._liveness = TaskLiveness()  # keyed by ticket
         self._open: dict[str, SweepTask] = {}  # token -> task (not completed)
@@ -352,15 +358,13 @@ class SupervisedPoolExecutor:
         self._tickets: dict[int, str] = {}  # ticket -> token
         self._holders: dict[str, Any] = {}  # affinity key -> worker
         self._ticket_seq = itertools.count(1)
-        self._serial = False
         self.redispatches = 0
-        #: Every degradation this executor recorded, in order.
-        self.degradations: list[ExecutorDegradation] = []
-        self.max_worker_deaths = (
-            max_worker_deaths
-            if max_worker_deaths is not None
-            else 2 * self._jobs + 2
-        )
+        self.affinity_steals = 0
+        self.worker_deaths = 0
+        #: Why the breaker tripped; ``None`` on the happy path.
+        self.degradation: Optional[ExecutorDegradation] = None
+        #: The open tasks a tripped breaker gave up on, in submission order.
+        self.handed_back: list[SweepTask] = []
         self._fault_plan = worker_fault_plan
         self._ctx = _mp_context()
         self._results = self._ctx.Queue()
@@ -369,15 +373,9 @@ class SupervisedPoolExecutor:
         self._idle: list[int] = []
         self._busy: dict[int, int] = {}  # worker_id -> ticket
         self._worker_seq = itertools.count(1)
-        self.worker_deaths = 0
         self._closed = False
         for _ in range(self._jobs):
             self._spawn_worker()
-
-    @property
-    def degradation(self) -> Optional[ExecutorDegradation]:
-        """The first degradation event; ``None`` on the happy path."""
-        return self.degradations[0] if self.degradations else None
 
     # ---------------------------------------------------------- lifecycle
     def submit(self, task: SweepTask) -> None:
@@ -394,7 +392,7 @@ class SupervisedPoolExecutor:
 
     @property
     def outstanding(self) -> int:
-        """Submitted tasks that have not yet been returned by poll()."""
+        """Submitted tasks that poll() may still return."""
         return len(self._open)
 
     def poll(self, timeout: Optional[float] = None) -> list[TaskResult]:
@@ -403,9 +401,6 @@ class SupervisedPoolExecutor:
         results: list[TaskResult] = []
         started = time.monotonic()
         while not results and self._open:
-            if self._serial:
-                results.extend(self._serial_step())
-                continue
             results.extend(self._step())
             if timeout is not None and time.monotonic() - started >= timeout:
                 break
@@ -470,20 +465,20 @@ class SupervisedPoolExecutor:
             self._idle.remove(worker_id)
         self._release_affinity(worker_id)
         self.worker_deaths += 1
-        self.metrics.counter("executor_worker_deaths").inc()
         log.warning("supervised pool lost worker %d: %s", worker_id, reason)
         ticket = self._busy.pop(worker_id, None)
         if ticket is not None:
             self._liveness.finish(ticket)
             self._wall.end(ticket, ok=False, reason=reason)
             self._requeue(ticket, reason)
-        if self._serial:
+        if self.degradation is not None:
             return  # the requeue exhausted the task's budget
-        if self.worker_deaths > self.max_worker_deaths:
+        death_budget = 2 * self._jobs + 2
+        if self.worker_deaths > death_budget:
             self._degrade(
                 "circuit-breaker",
                 f"{self.worker_deaths} worker deaths exceed the pool's "
-                f"budget of {self.max_worker_deaths}",
+                f"budget of {death_budget}",
             )
         elif not self._closed:
             self._spawn_worker()
@@ -515,10 +510,8 @@ class SupervisedPoolExecutor:
     def _step(self) -> list[TaskResult]:
         """One bounded pass of the supervisor's event loop."""
         self._reap_dead_workers()
-        if self._serial:
-            return []
         self._expire_overdue()
-        if self._serial:
+        if self.degradation is not None:
             return []
         self._dispatch_ready()
         try:
@@ -550,21 +543,20 @@ class SupervisedPoolExecutor:
             self._wall.begin(
                 ticket, "dispatch", task.token, worker=worker_id, dispatch=dispatch
             )
-            self.metrics.counter("executor_dispatches").inc()
 
     def _reap_dead_workers(self) -> None:
         for worker_id, process in list(self._workers.items()):
-            if process.is_alive():
-                continue
-            self._remove_worker(
-                worker_id, reason=f"process exited (code {process.exitcode})"
-            )
-            if self._serial:
+            if self.degradation is not None:
                 return
+            if not process.is_alive():
+                self._remove_worker(
+                    worker_id, reason=f"process exited (code {process.exitcode})"
+                )
 
     def _expire_overdue(self) -> None:
         for ticket in self._liveness.overdue():
-            self.metrics.counter("executor_deadline_expirations").inc()
+            if self.degradation is not None:
+                return
             worker_id = next(
                 (w for w, t in self._busy.items() if t == ticket), None
             )
@@ -579,31 +571,28 @@ class SupervisedPoolExecutor:
                 )
             else:  # pragma: no cover - ticket raced its worker's removal
                 self._liveness.finish(ticket)
-            if self._serial:
-                return
 
     def _degrade(self, reason: str, detail: str) -> None:
-        """Abandon the workers and run every open task in-process from
-        now on.  Fault injection lives in the workers, so the serial
-        path always completes."""
+        """Trip the breaker: kill the workers, record why, and hand every
+        open task back (:attr:`handed_back`) for the driver to run on its
+        serial path.  Fault injection lives in the workers, so that path
+        always completes."""
         self._shutdown_workers(kill=True)
-        remaining = len(self._open)
-        self.degradations.append(
-            ExecutorDegradation(
-                reason=reason,
-                detail=detail,
-                worker_deaths=self.worker_deaths,
-                redispatches=self.redispatches,
-                remaining_tasks=remaining,
-            )
+        self.handed_back.extend(self._open.values())
+        self._open.clear()
+        self._pending.clear()
+        self.degradation = ExecutorDegradation(
+            reason=reason,
+            detail=detail,
+            worker_deaths=self.worker_deaths,
+            redispatches=self.redispatches,
+            remaining_tasks=len(self.handed_back),
         )
-        self.metrics.counter("executor_degradations").inc()
         self._wall.instant(
-            "degradation", "supervised", detail=detail, remaining=remaining
+            "degradation", "supervised", detail=detail,
+            remaining=len(self.handed_back),
         )
         log.warning("supervised executor degrading (%s): %s", reason, detail)
-        self._serial = True
-        _ensure_worker_cache(self._cache_dir)
 
     # --------------------------------------------------------------- ledger
     def _next_ready(self, worker, workers: int) -> Optional[tuple[int, SweepTask, int]]:
@@ -616,11 +605,12 @@ class SupervisedPoolExecutor:
         queued, a task whose affinity key another worker holds is
         skipped: that worker has the key's binary compiled and traced,
         and the queue has other work for this one.  If nothing else is
-        ready it is taken anyway, so no worker idles while work is
-        ready.  On a shorter queue dispatch is plain FIFO: holding a
-        task back for its key's holder would then put a whole part on
-        the sweep's critical path to save one compile.  A worker takes
-        the key of each keyed task it is handed whose key no one holds.
+        ready it is taken anyway (counted in :attr:`affinity_steals`),
+        so no worker idles while work is ready.  On a shorter queue
+        dispatch is plain FIFO: holding a task back for its key's holder
+        would then put a whole part on the sweep's critical path to save
+        one compile.  A worker takes the key of each keyed task it is
+        handed whose key no one holds.
         """
         pending, holders = self._pending, self._holders
         while pending and pending[0][0] not in self._open:
@@ -644,7 +634,7 @@ class SupervisedPoolExecutor:
         task = self._open[token]
         key = task.affinity
         if key is not None and holders.setdefault(key, worker) != worker:
-            self.metrics.counter("executor_affinity_steals").inc()
+            self.affinity_steals += 1
         ticket = next(self._ticket_seq)
         dispatch = self._dispatches[token]
         self._tickets[ticket] = token
@@ -665,7 +655,6 @@ class SupervisedPoolExecutor:
         if token not in self._open:
             return None
         task = self._open.pop(token)
-        self.metrics.counter("executor_tasks_completed").inc()
         return TaskResult(
             task=task, value=value, dispatches=self._dispatches.get(token, 1)
         )
@@ -685,7 +674,6 @@ class SupervisedPoolExecutor:
             )
             return
         self.redispatches += 1
-        self.metrics.counter("executor_redispatches").inc()
         self._wall.instant("requeue", token, reason=reason)
         delay = 0.0
         schedule = self._policy.schedule(token)
@@ -693,65 +681,13 @@ class SupervisedPoolExecutor:
             delay = schedule[min(max(used - 1, 0), len(schedule) - 1)]
         self._pending.append((token, time.monotonic() + delay))
 
-    def _serial_step(self) -> list[TaskResult]:
-        # Submission order: _open is insertion-ordered.
-        token, task = next(iter(self._open.items()))
-        del self._open[token]
-        self._dispatches[token] += 1
-        value = self._task_fn(task.payload())
-        self.metrics.counter("executor_tasks_completed").inc()
-        return [
-            TaskResult(task=task, value=value, dispatches=self._dispatches[token])
-        ]
-
-
-def make_sweep_executor(
-    task_fn: Callable[[tuple], Any],
-    jobs: int,
-    cache_dir=None,
-    *,
-    trace_length: int = 0,
-    task_timeout: Optional[float] = None,
-    redispatch_budget: int = 2,
-    worker_fault_plan=None,
-    seed: int = 0,
-    self_check: bool = False,
-    spans=None,
-) -> SupervisedPoolExecutor:
-    """Build the supervised executor for a ``--jobs N`` sweep.
-
-    ``task_timeout=None`` derives a deadline from ``trace_length`` (and
-    the cost-scaling ``self_check`` knob) via
-    :func:`default_task_timeout`; the re-dispatch backoff reuses the
-    deterministic seeded :class:`~repro.robustness.retry.RetryPolicy`.
-    """
-    timeout = (
-        task_timeout
-        if task_timeout is not None
-        else default_task_timeout(trace_length, self_check=self_check)
-    )
-    policy = RetryPolicy(
-        max_attempts=max(1, redispatch_budget + 1),
-        base_delay=0.05,
-        max_delay=1.0,
-        seed=seed,
-    )
-    return SupervisedPoolExecutor(
-        task_fn,
-        jobs,
-        cache_dir,
-        task_timeout=timeout,
-        redispatch_budget=redispatch_budget,
-        redispatch_policy=policy,
-        worker_fault_plan=worker_fault_plan,
-        spans=spans,
-    )
-
 
 __all__ = [
     "BASE_SECONDS_PER_INSTRUCTION",
     "MIN_TASK_TIMEOUT",
     "POLL_TICK_S",
+    "REDISPATCH_BASE_DELAY_S",
+    "REDISPATCH_MAX_DELAY_S",
     "SELF_CHECK_TIMEOUT_FACTOR",
     "ExecutorDegradation",
     "SupervisedPoolExecutor",
@@ -759,5 +695,4 @@ __all__ = [
     "TaskLiveness",
     "TaskResult",
     "default_task_timeout",
-    "make_sweep_executor",
 ]

@@ -8,13 +8,15 @@ small inputs — every stage is seeded and deterministic, so results are
 bit-identical to the serial path, and nothing but small inputs and
 final results crosses the process boundary.
 
-:func:`fan_out` is the one driver: it resolves ``jobs``, runs serially
-in-process (no worker is started) for ``jobs == 1`` or a single task,
-and otherwise submits every task to a
-:class:`~repro.perf.executor.SupervisedPoolExecutor` built by
-:func:`~repro.perf.executor.make_sweep_executor` and hands each result
-to the caller the moment it arrives.  :func:`run_sweep` layers the
-generic points on top (journal reuse and per-point journaling);
+:func:`fan_out` is the one driver: it resolves ``jobs``, runs the
+caller's ``run_serial`` in-process (no worker is started) for
+``jobs == 1`` or a single task, and otherwise submits every task to a
+:class:`~repro.perf.executor.SupervisedPoolExecutor` and hands each
+result to the caller the moment it arrives.  If the executor's circuit
+breaker trips, the tasks it hands back finish on that same
+``run_serial`` path, so a sweep has one serial path however it got
+there.  :func:`run_sweep` layers the generic points on top (journal
+reuse and per-point journaling);
 :func:`~repro.experiments.table2.run_table2` hands it its per-part
 tasks for every ``jobs`` value and assembles rows itself, because a
 row spans three tasks.
@@ -33,7 +35,8 @@ Design notes:
   :class:`~repro.perf.cache.ArtifactCache` (optionally disk-backed, in
   which case all workers share the directory); Table 2 ships per-task
   counter deltas back and merges them into the parent's cache stats so
-  hit/miss accounting stays correct under ``--jobs N``.
+  hit/miss accounting stays correct under ``--jobs N``.  The parent
+  never uses a worker cache: its serial path runs on the caller's.
 * Retries run *inside* the task (``options.retry``), so a transient
   fault costs one worker a re-run, not the whole sweep a round-trip.
 * SIGINT/SIGTERM to the parent stops the sweep: every result that came
@@ -47,9 +50,10 @@ Design notes:
 * The executor is supervised: per-task deadlines (derived from each
   sweep's trace length, simulations per task and self-check by
   :func:`~repro.perf.executor.default_task_timeout`), dead/wedged-worker
-  detection, bounded re-dispatch, and a circuit breaker that finishes
-  the sweep serially instead of hanging.  Several hosts split a sweep
-  with ``--shard`` and fold the shards with ``repro journal merge``.
+  detection, bounded re-dispatch, and a circuit breaker that hands the
+  open tasks back to be finished serially instead of hanging.  Several
+  hosts split a sweep with ``--shard`` and fold the shards with
+  ``repro journal merge``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigError, SweepInterrupted
 from repro.perf.cache import ArtifactCache
-from repro.perf.executor import SweepTask, _worker_cache, make_sweep_executor
+from repro.perf.executor import SupervisedPoolExecutor, SweepTask, _worker_cache
 
 log = logging.getLogger("repro.sweep")
 
@@ -144,30 +148,26 @@ def fan_out(
     ``jobs`` goes through :func:`resolve_jobs`.  One job (or a single
     task) runs ``run_serial(task)`` for each task in order, in-process.
     Otherwise ``task_fn`` (module-level; it receives
-    ``task.payload()``) runs in the workers of the supervised executor
-    built by :func:`~repro.perf.executor.make_sweep_executor` from
+    ``task.payload()``) runs in the workers of a
+    :class:`~repro.perf.executor.SupervisedPoolExecutor` built from
     ``cache_dir``, ``spans`` and ``executor_options``.  Either way
     ``deliver(task, value)`` fires in the parent as each result
     arrives, so a caller that journals there loses at most in-flight
-    tasks to a kill.  An interrupt raises
-    :class:`~repro.errors.SweepInterrupted` after killing the workers;
-    any other error from a delivery also kills them before it
-    propagates.  Executor degradations are logged and, with a
-    ``journal``, recorded as ``executor_degradation`` events; a spanned
-    sweep also writes the executor's final metrics next to its span
-    files.
+    tasks to a kill.  If the executor's breaker trips, the degradation
+    is logged and, with a ``journal``, recorded as an
+    ``executor_degradation`` event at once; the tasks it handed back
+    then run through ``run_serial`` in submission order.  An interrupt
+    raises :class:`~repro.errors.SweepInterrupted` after killing the
+    workers; any other error from a delivery also kills them before it
+    propagates.
     """
     jobs = resolve_jobs(jobs)
     if jobs == 1 or len(tasks) <= 1:
         for task in tasks:
             deliver(task, run_serial(task))
         return
-    sweep = make_sweep_executor(
-        task_fn,
-        min(jobs, len(tasks)),
-        cache_dir,
-        spans=spans,
-        **executor_options,
+    sweep = SupervisedPoolExecutor(
+        task_fn, min(jobs, len(tasks)), cache_dir, spans=spans, **executor_options
     )
     with sweep, sweep_signals():
         try:
@@ -176,26 +176,26 @@ def fan_out(
             while sweep.outstanding:
                 for result in sweep.poll():
                     deliver(result.task, result.value)
+            if sweep.degradation is not None:
+                log.warning("%s", sweep.degradation.format())
+                if journal is not None:
+                    journal.record_event(
+                        "executor_degradation", sweep.degradation.as_dict()
+                    )
+            tail = sweep.handed_back  # empty unless the breaker tripped
+            while tail:
+                deliver(tail[0], run_serial(tail[0]))
+                del tail[0]
         except KeyboardInterrupt as error:
             raise SweepInterrupted(
                 "sweep interrupted; completed rows are journaled and the run "
                 "is resumable with --resume",
                 cause=type(error).__name__,
-                cancelled_units=sweep.cancel(),
+                cancelled_units=sweep.cancel() + len(sweep.handed_back),
             ) from None
         except BaseException:
             sweep.cancel()
             raise
-    for degradation in sweep.degradations:
-        log.warning("%s", degradation.format())
-        if journal is not None:
-            journal.record_event("executor_degradation", degradation.as_dict())
-    if spans is not None:
-        # Final executor metrics land next to the span files, in the
-        # Prometheus text format 'repro stats' also speaks.
-        from repro.obs.export import write_prometheus
-
-        write_prometheus(spans.run_dir / "executor-metrics.prom", sweep.metrics)
 
 
 # ------------------------------------------------------------ generic points

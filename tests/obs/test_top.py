@@ -71,6 +71,16 @@ class TestCollect:
         status = collect_status(tmp_path)
         assert status.shards == [] and status.span_files == {}
 
+    def test_resumed_row_counts_once(self, tmp_path):
+        # A row that failed and then completed on --resume is one
+        # completed row: the latest record per key wins, as on resume.
+        with RunJournal(tmp_path) as journal:
+            journal.record_failed("table2:ora", "fp", error={"type": "SimError"})
+        with RunJournal(tmp_path) as journal:
+            journal.record_completed("table2:ora", "fp")
+        status = collect_status(tmp_path)
+        assert (status.rows_completed, status.rows_failed) == (1, 0)
+
 
 class TestRender:
     def test_frame_contents(self, tmp_path):

@@ -5,9 +5,11 @@ import time
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SweepInterrupted
 from repro.experiments.harness import PART_BINARY, EvaluationOptions
 from repro.experiments.table2 import run_table2
+from repro.perf import executor as executor_mod
+from repro.perf.cache import ArtifactCache
 from repro.perf.executor import (
     BASE_SECONDS_PER_INSTRUCTION,
     MIN_TASK_TIMEOUT,
@@ -15,12 +17,11 @@ from repro.perf.executor import (
     SweepTask,
     TaskLiveness,
     default_task_timeout,
-    make_sweep_executor,
 )
 from repro.perf.fingerprint import fingerprint
+from repro.perf.parallel import fan_out
 from repro.robustness.faultinject import FaultPlan, FaultSpec
 from repro.robustness.journal import RunJournal
-from repro.robustness.retry import RetryPolicy
 
 TL = 600
 
@@ -68,14 +69,7 @@ class TestSupervisedHappyPath:
         assert all(r.dispatches == 1 for r in results.values())
         assert sup.degradation is None
         assert sup.worker_deaths == 0
-
-    def test_metrics_count_dispatches(self):
-        sup = SupervisedPoolExecutor(_echo_task, jobs=2, task_timeout=30.0)
-        _run_all(sup, _tasks(3))
-        snapshot = sup.metrics.snapshot()
-        assert snapshot["executor_dispatches"] == 3
-        assert snapshot["executor_tasks_completed"] == 3
-        assert snapshot["executor_worker_deaths"] == 0
+        assert sup.redispatches == 0
 
 
 class TestSupervisedFaults:
@@ -103,7 +97,7 @@ class TestSupervisedFaults:
         results = _run_all(sup, _tasks(2))
         assert len(results) == 2
         assert results["b0:single"].dispatches == 2
-        assert sup.metrics.snapshot()["executor_deadline_expirations"] >= 1
+        assert sup.worker_deaths == 1  # the wedged worker, put down
         assert sup.degradation is None
 
     def test_partitioned_result_is_recovered(self):
@@ -120,45 +114,132 @@ class TestSupervisedFaults:
         results = _run_all(sup, _tasks(3))
         assert len(results) == 3
         assert results["b2:single"].dispatches == 2
+        assert sup.worker_deaths == 1
         assert sup.degradation is None
 
 
+def _fan_out_echo(tasks, journal=None, deliver=None, **executor_options):
+    """``fan_out`` over :func:`_echo_task` on two workers; the delivered
+    values by token, in delivery order."""
+    delivered = {}
+
+    def keep(task, value):
+        delivered[task.token] = value
+
+    fan_out(
+        _echo_task,
+        tasks,
+        2,
+        deliver or keep,
+        run_serial=lambda task: _echo_task(task.payload()),
+        journal=journal,
+        **executor_options,
+    )
+    return delivered
+
+
+def _degradations(run_dir):
+    """The ``executor_degradation`` payloads a reopened journal holds."""
+    return [
+        event["payload"]
+        for event in RunJournal(run_dir).events
+        if event.get("kind") == "executor_degradation"
+    ]
+
+
 class TestCircuitBreaker:
-    def test_persistent_kill_degrades_to_serial(self):
+    def test_persistent_kill_degrades_to_serial(self, tmp_path):
         # clear_after=None: the task kills every worker that picks it
         # up.  The breaker must trip and the sweep must still complete.
         plan = FaultPlan(specs=(FaultSpec(kind="worker_kill", benchmark="b0"),))
-        sup = SupervisedPoolExecutor(
-            _echo_task,
-            jobs=2,
-            task_timeout=30.0,
-            redispatch_budget=1,
-            worker_fault_plan=plan,
-        )
-        results = _run_all(sup, _tasks(3))
-        assert len(results) == 3  # every task still delivered
-        assert results["b0:single"].value[2] == "value:b0:single"
-        assert sup.degradation is not None
-        assert sup.degradation.reason == "circuit-breaker"
-        assert "budget 1 exhausted" in sup.degradation.detail
-        assert sup.metrics.snapshot()["executor_degradations"] == 1
+        tasks = _tasks(3)
+        with RunJournal(tmp_path) as journal:
+            delivered = _fan_out_echo(
+                tasks,
+                journal,
+                task_timeout=30.0,
+                redispatch_budget=1,
+                worker_fault_plan=plan,
+            )
+        # Every task delivered once, with the value serial computes.
+        assert delivered == {t.token: _echo_task(t.payload()) for t in tasks}
+        (degradation,) = _degradations(tmp_path)
+        assert degradation["reason"] == "circuit-breaker"
+        assert "budget 1 exhausted" in degradation["detail"]
 
-    def test_death_budget_trips_breaker(self):
+    def test_death_budget_trips_breaker(self, tmp_path):
         # Kills spread across distinct tasks: no single task exhausts
-        # its budget, but the pool-wide death budget must still trip.
+        # its budget, but the pool-wide death budget (2 * jobs + 2)
+        # must still trip.
         plan = FaultPlan(specs=(FaultSpec(kind="worker_kill"),))  # every task
-        sup = SupervisedPoolExecutor(
-            _echo_task,
-            jobs=2,
-            task_timeout=30.0,
-            redispatch_budget=10,
-            max_worker_deaths=3,
-            worker_fault_plan=plan,
-        )
-        results = _run_all(sup, _tasks(6))
-        assert len(results) == 6
-        assert sup.degradation is not None
-        assert sup.worker_deaths > 3
+        tasks = _tasks(6)
+        with RunJournal(tmp_path) as journal:
+            delivered = _fan_out_echo(
+                tasks,
+                journal,
+                task_timeout=30.0,
+                redispatch_budget=10,
+                worker_fault_plan=plan,
+            )
+        assert delivered == {t.token: _echo_task(t.payload()) for t in tasks}
+        (degradation,) = _degradations(tmp_path)
+        assert "budget of 6" in degradation["detail"]
+        assert degradation["worker_deaths"] == 7
+        assert degradation["remaining_tasks"] == 6
+
+    def test_degradation_is_journaled_before_the_serial_tail(self, tmp_path):
+        # The breaker trips before any result comes home, so the first
+        # delivery is in the serial tail; a Ctrl-C there must not lose
+        # the event, and must count every undelivered task.
+        plan = FaultPlan(specs=(FaultSpec(kind="worker_kill"),))
+
+        def interrupted(task, value):
+            raise KeyboardInterrupt("simulated Ctrl-C")
+
+        with RunJournal(tmp_path) as journal:
+            with pytest.raises(SweepInterrupted) as info:
+                _fan_out_echo(
+                    _tasks(3),
+                    journal,
+                    deliver=interrupted,
+                    task_timeout=30.0,
+                    redispatch_budget=0,
+                    worker_fault_plan=plan,
+                )
+        assert len(_degradations(tmp_path)) == 1
+        assert info.value.context["cancelled_units"] == 3
+
+    def test_breaker_tail_uses_the_callers_cache(self, tmp_path):
+        # Two degraded sweeps in one process, each on its own cache
+        # directory: the tail must write to the sweep's own cache, not
+        # to a cache left over from an earlier sweep.  Artifact keys are
+        # content hashes, so both directories must hold the same files.
+        serial = run_table2(["compress"], EvaluationOptions(trace_length=TL))
+        plan = FaultPlan(specs=(FaultSpec(kind="worker_kill"),))
+        listings = []
+        for name in ("cA", "cB"):
+            cache_dir = tmp_path / name
+            degraded = run_table2(
+                ["compress"],
+                EvaluationOptions(
+                    trace_length=TL,
+                    jobs=2,
+                    task_timeout=60.0,
+                    redispatch_budget=0,
+                    worker_fault_plan=plan,
+                    cache=ArtifactCache(cache_dir),
+                    heartbeat_interval=None,
+                ),
+            )
+            assert degraded.failures == []
+            for part in ("single", "dual_none", "dual_local"):
+                assert getattr(
+                    degraded.rows[0].evaluation, part
+                ).stats.as_dict() == getattr(
+                    serial.rows[0].evaluation, part
+                ).stats.as_dict()
+            listings.append(sorted(p.name for p in cache_dir.glob("*.pkl")))
+        assert listings[0] and listings[0] == listings[1]
 
     def test_breaker_keeps_results_bit_identical(self, tmp_path):
         serial = run_table2(["compress"], EvaluationOptions(trace_length=TL))
@@ -247,24 +328,17 @@ class TestFactoryAndTimeouts:
             MIN_TASK_TIMEOUT, 10.0 + trace_length * BASE_SECONDS_PER_INSTRUCTION
         )
 
-    def test_factory_derives_timeout_from_options(self):
-        fast = make_sweep_executor(_echo_task, 1, trace_length=10 ** 6)
-        slow = make_sweep_executor(
+    def test_constructor_derives_timeout_from_options(self):
+        fast = SupervisedPoolExecutor(_echo_task, 1, trace_length=10 ** 6)
+        slow = SupervisedPoolExecutor(
             _echo_task, 1, trace_length=10 ** 6, self_check=True
         )
         try:
+            assert fast.task_timeout == default_task_timeout(10 ** 6)
             assert fast.task_timeout < slow.task_timeout
         finally:
             fast.close()
             slow.close()
-
-    def test_factory_builds_the_supervised_executor(self):
-        sup = make_sweep_executor(_echo_task, 1, trace_length=1000)
-        try:
-            assert isinstance(sup, SupervisedPoolExecutor)
-            assert sup.task_timeout == default_task_timeout(1000)
-        finally:
-            sup.close()
 
 
 class TestLedgerContract:
@@ -314,10 +388,6 @@ def _drain_in_order(executor, tasks, deadline_s=60.0):
     return done
 
 
-def _steals(executor) -> int:
-    return executor.metrics.counter("executor_affinity_steals").value
-
-
 class TestAffinityDispatch:
     def test_held_key_waits_while_the_queue_is_long(self):
         # One worker takes a:single and its key.  The queue holds over
@@ -329,7 +399,7 @@ class TestAffinityDispatch:
         sup = SupervisedPoolExecutor(_pid_after_sleep, jobs=2, task_timeout=30.0)
         done = {r.task.token: r.value for r in _drain_in_order(sup, pair + filler)}
         assert done["a:single"] == done["a:dual_none"]
-        assert _steals(sup) == 0
+        assert sup.affinity_steals == 0
 
     def test_short_queue_is_plain_fifo(self):
         # Three tasks for two workers: holding a:dual_none back would put
@@ -340,7 +410,7 @@ class TestAffinityDispatch:
         done = _drain_in_order(sup, tasks)
         assert [r.task.token for r in done] == ["a:dual_none", "b:single", "a:single"]
         assert done[0].value != done[2].value
-        assert _steals(sup) == 1
+        assert sup.affinity_steals == 1
 
     def test_no_worker_idles_while_work_is_ready(self):
         # Every task shares one key, and its holder is busy with the
@@ -351,7 +421,7 @@ class TestAffinityDispatch:
         *rest, first = _drain_in_order(sup, tasks)
         assert first.task.part == "p0"
         assert all(result.value != first.value for result in rest)
-        assert _steals(sup) == 4
+        assert sup.affinity_steals == 4
 
     def test_one_worker_keeps_fifo_order(self):
         # With no other worker to hold a key, dispatch is plain FIFO,
@@ -378,7 +448,7 @@ class TestAffinityDispatch:
         assert done["a:single"].dispatches == 2
         assert done["a:single"].value == done["a:dual_none"].value
         assert sup.worker_deaths == 1
-        assert _steals(sup) == 0
+        assert sup.affinity_steals == 0
         assert sup.degradation is None
 
 
@@ -419,7 +489,7 @@ class TestCancel:
         assert sup.outstanding == 0
         sup.close()
 
-    def test_cancel_while_requeued_task_is_inside_backoff(self):
+    def test_cancel_while_requeued_task_is_inside_backoff(self, monkeypatch):
         # ISSUE 8 satellite: a worker_kill puts its task into the
         # pending deque with a far-future not_before; cancel() must drop
         # the waiting task, zero outstanding, and orphan no processes.
@@ -427,14 +497,10 @@ class TestCancel:
             specs=(FaultSpec(kind="worker_kill", benchmark="b0",
                              clear_after=1),)
         )
+        monkeypatch.setattr(executor_mod, "REDISPATCH_BASE_DELAY_S", 120.0)
+        monkeypatch.setattr(executor_mod, "REDISPATCH_MAX_DELAY_S", 120.0)
         sup = SupervisedPoolExecutor(
-            _echo_task,
-            jobs=1,
-            task_timeout=30.0,
-            worker_fault_plan=plan,
-            redispatch_policy=RetryPolicy(
-                max_attempts=5, base_delay=120.0, max_delay=120.0, seed=0
-            ),
+            _echo_task, jobs=1, task_timeout=30.0, worker_fault_plan=plan
         )
         for task in _tasks(2):
             sup.submit(task)

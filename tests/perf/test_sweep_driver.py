@@ -31,14 +31,14 @@ GYM_SPACE = DesignSpace(
 def executors(monkeypatch):
     """Every executor the driver builds, with the worker count it asked for."""
     built = []
-    real = parallel.make_sweep_executor
+    real = parallel.SupervisedPoolExecutor
 
     def spy(task_fn, jobs, *args, **kwargs):
         executor = real(task_fn, jobs, *args, **kwargs)
         built.append((jobs, executor))
         return executor
 
-    monkeypatch.setattr(parallel, "make_sweep_executor", spy)
+    monkeypatch.setattr(parallel, "SupervisedPoolExecutor", spy)
     return built
 
 
@@ -161,7 +161,7 @@ class TestGenericSweepErrors:
         _, executor = executors[0]
         assert executor.redispatches == 0
         assert executor.worker_deaths == 0
-        assert executor.degradations == []
+        assert executor.degradation is None
 
     def test_figure6_point_error_keeps_type_and_message(
         self, executors, monkeypatch
